@@ -187,18 +187,6 @@ void context_base::wait() {
   if (std::exception_ptr error = take_error()) std::rethrow_exception(error);
 }
 
-void context_base::rearm() {
-  RDP_REQUIRE_MSG(active_.load(std::memory_order_acquire) == 0 &&
-                      suspended_.load(std::memory_order_acquire) == 0,
-                  "context_base::rearm on a non-quiescent graph (step "
-                  "instances still active or parked)");
-  {
-    std::scoped_lock lock(suspended_mutex_);
-    RDP_ASSERT(suspended_registry_.empty());
-  }
-  (void)take_error();
-}
-
 std::exception_ptr context_base::take_error() noexcept {
   std::scoped_lock lock(error_mutex_);
   std::exception_ptr error = first_error_;

@@ -103,15 +103,6 @@ public:
   context_stats stats() const;
   void reset_stats();
 
-  /// Re-arm the runtime half for another execution of the same graph
-  /// without reconstructing the context or its collections (persistent
-  /// server sessions). Requires quiescence — no active or suspended step
-  /// instances, i.e. a wait() that returned normally — and clears any
-  /// recorded step error. Collections are re-armed separately (their
-  /// clear() methods); counters keep accumulating unless reset_stats() is
-  /// called.
-  void rearm();
-
   // ---- internal API used by collections and step instances ----
   struct counters {
     std::atomic<std::uint64_t> executed{0};

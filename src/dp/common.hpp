@@ -76,9 +76,7 @@ inline std::uint64_t mix64(std::uint64_t x) {
 }
 
 /// Owner-computes placement hash of tile (i, j): the data-flow step's
-/// compute_on affinity AND the sharded item collection's shard index both
-/// derive from it (modulo the worker count), so with pinning a tile's items
-/// live in the shard of the worker that computes it.
+/// compute_on affinity derives from it (modulo the worker count).
 inline std::int32_t tile_placement_hash(std::int32_t i, std::int32_t j) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32) |

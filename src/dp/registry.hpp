@@ -115,9 +115,9 @@ struct variant {
                      const run_options& opts);
 };
 
-/// All registered variants: the paper's three benchmarks get 17
-/// backend[:mode] entries each (13 real + 4 sim:* series); the
-/// variable-arity benchmarks (LCS, Paren) get the 13 real entries — the
+/// All registered variants: the paper's three benchmarks get 15
+/// backend[:mode] entries each (11 real + 4 sim:* series); the
+/// variable-arity benchmarks (LCS, Paren) get the 11 real entries — the
 /// simulator's cost model only covers the paper's figures.
 /// Debug builds cross-check every spec with dp::verify_spec on a small
 /// instance the first time this is called (see registry.cpp).

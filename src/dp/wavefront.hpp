@@ -25,7 +25,7 @@
 //
 // For the repo's concrete benchmarks prefer the first-class specs in
 // dp/spec/specs.hpp (make_sw_spec, make_lcs_spec): they run on *every*
-// backend through the registry — tiled, r-way, batched/sharded data-flow,
+// backend through the registry — tiled, r-way, every CnC data-flow mode,
 // prepared graphs, the batch server — while this adapter only wires the
 // serial/fork-join/native-data-flow trio. It remains the extension point
 // for one-off wavefront DPs (and the generator-based property tests).

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "dp/spec/spec.hpp"
 #include "forkjoin/worker_pool.hpp"
@@ -53,35 +52,6 @@ struct dataflow_options {
 /// unless opts.pool borrows a shared one.
 dp::cnc_run_info run_dataflow(dp::recurrence& rec,
                               const dataflow_options& opts);
-
-/// A CnC graph kept alive across executions: collections and worker pool
-/// are constructed once, and each execute() re-runs the control program
-/// for a structurally identical recurrence (same name/size/base/
-/// value-passing — only the problem data may differ), then re-arms the
-/// collections (item/tag clear + context re-arm) for the next request.
-/// This amortises context construction but NOT dependency discovery — the
-/// graph is still re-expanded per run, which is exactly the gap
-/// prepared_graph closes; the batch server exposes both so the load bench
-/// can measure the difference.
-///
-/// Not internally synchronised: one execute() at a time.
-class dataflow_session {
- public:
-  /// `structural` fixes the graph's shape and names; it is not retained.
-  dataflow_session(dp::recurrence& structural, const dataflow_options& opts);
-  ~dataflow_session();
-
-  dataflow_session(const dataflow_session&) = delete;
-  dataflow_session& operator=(const dataflow_session&) = delete;
-
-  /// Execute `rec` (must be structurally identical to the constructor's
-  /// exemplar) and re-arm for the next call. Stats are per-execution.
-  dp::cnc_run_info execute(dp::recurrence& rec);
-
- private:
-  struct impl;
-  std::unique_ptr<impl> impl_;
-};
 
 /// Blocked loop schedule: abcd structures run per-pivot rounds of
 /// {A; B band ∥ C band; D sweep} with a barrier per phase; wavefront

@@ -1,4 +1,4 @@
-// Banding: the shared fusion analysis of the batched data-flow backends.
+// Banding: the fusion analysis behind prepared_graph::freeze_batched.
 //
 // A *band* is a maximal set of base tiles that (a) are mutually independent
 // and (b) become ready together: one pivot round's A, its B∥C band, its D
@@ -9,10 +9,8 @@
 // spec whose depends() disagrees with its declared structure is rejected at
 // build instead of deadlocking.
 //
-// Both batched lowerings consume the same plan: the CnC `batched` variant
-// replaces per-tile tag puts and waiter parking with one atomic predecessor
-// counter per band, and prepared_graph::freeze_batched coarsens its CSR
-// nodes from tiles to band chunks. Chunking (build_chunks) splits each band
+// prepared_graph::freeze_batched consumes the plan to coarsen its CSR nodes
+// from tiles to band chunks. Chunking (build_chunks) splits each band
 // into at most `parallelism` contiguous runs so fusing never serialises a
 // band that used to run wide.
 #pragma once
@@ -50,7 +48,7 @@ struct band_plan {
 /// the same contract prepared_graph::freeze enforces.
 band_plan build_band_plan(dp::recurrence& rec);
 
-/// One fused step: a contiguous run of a band's members.
+/// One fused node: a contiguous run of a band's members.
 struct chunk_ref {
   std::uint32_t band = 0;
   std::uint32_t member_begin = 0, member_end = 0;  // into plan.members

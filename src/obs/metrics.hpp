@@ -1,7 +1,7 @@
 // Always-on metrics substrate: lock-free counters, gauges and log-linear
 // histograms, cheap enough to leave enabled in Release builds.
 //
-// Design. Every metric is sharded over a fixed array of cache-line-padded
+// Design. Every metric is split over a fixed array of cache-line-padded
 // atomic cells; each recording thread is assigned one shard round-robin on
 // first use, so concurrent writers of one metric land on different cache
 // lines and the hot path is exactly

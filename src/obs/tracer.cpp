@@ -7,10 +7,12 @@ namespace rdp::obs {
 
 // Per-thread event storage. The owning thread appends; the collector reads
 // slots [0, head) after an acquire load of head, so every slot it visits was
-// release-published. The slot array itself is swapped only by start() (via an
-// atomic pointer; retired arrays stay alive until process exit), which makes
-// a capacity change safe even against a straggling producer that loaded the
-// old array — its event lands in retired storage and is simply not collected.
+// release-published. The slot array is allocated on the thread's first
+// recorded event — registering or labelling a thread costs no ring — and is
+// swapped only by start() (via an atomic pointer; retired arrays stay alive
+// until process exit), which makes a capacity change safe even against a
+// straggling producer that loaded the old array — its event lands in
+// retired storage and is simply not collected.
 struct tracer::thread_buffer {
   struct ring {
     explicit ring(std::size_t cap) : capacity(cap), slots(new event[cap]) {}
@@ -18,16 +20,16 @@ struct tracer::thread_buffer {
     std::unique_ptr<event[]> slots;
   };
 
-  explicit thread_buffer(std::int32_t tid_, std::size_t cap) : tid(tid_) {
-    auto first = std::make_unique<ring>(cap);
-    current.store(first.get(), std::memory_order_release);
-    retired.push_back(std::move(first));
-  }
+  explicit thread_buffer(std::int32_t tid_) : tid(tid_) {}
 
-  void push(const event& e) noexcept {
+  void push(tracer& owner, const event& e) noexcept {
     ring* r = current.load(std::memory_order_acquire);
+    if (r == nullptr) [[unlikely]] {
+      owner.allocate_ring(*this);
+      r = current.load(std::memory_order_acquire);
+    }
     const std::size_t h = head.load(std::memory_order_relaxed);
-    if (h >= r->capacity) {
+    if (r == nullptr || h >= r->capacity) {
       dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -35,14 +37,18 @@ struct tracer::thread_buffer {
     head.store(h + 1, std::memory_order_release);
   }
 
-  /// start()-only (registry lock held, producers quiescent).
+  /// Publish a fresh ring of `cap` slots. Registry lock held.
+  void install(std::size_t cap) {
+    auto fresh = std::make_unique<ring>(cap);
+    current.store(fresh.get(), std::memory_order_release);
+    retired.push_back(std::move(fresh));
+  }
+
+  /// start()-only (registry lock held, producers quiescent). A thread that
+  /// never recorded keeps no ring; its first event allocates one.
   void reset(std::size_t cap) {
     ring* r = current.load(std::memory_order_relaxed);
-    if (r->capacity != cap) {
-      auto bigger = std::make_unique<ring>(cap);
-      current.store(bigger.get(), std::memory_order_release);
-      retired.push_back(std::move(bigger));
-    }
+    if (r != nullptr && r->capacity != cap) install(cap);
     head.store(0, std::memory_order_release);
     dropped.store(0, std::memory_order_relaxed);
   }
@@ -71,11 +77,19 @@ tracer::thread_buffer* tracer::local_buffer() {
   if (tl_buffer_ != nullptr) return tl_buffer_;
   std::scoped_lock lock(registry_mutex_);
   const auto tid = static_cast<std::int32_t>(buffers_.size());
-  buffers_.push_back(std::make_unique<thread_buffer>(
-      tid, capacity_.load(std::memory_order_relaxed)));
+  buffers_.push_back(std::make_unique<thread_buffer>(tid));
   labels_.emplace_back();
   tl_buffer_ = buffers_.back().get();
   return tl_buffer_;
+}
+
+void tracer::allocate_ring(thread_buffer& b) noexcept {
+  try {
+    std::scoped_lock lock(registry_mutex_);
+    b.install(capacity_.load(std::memory_order_relaxed));
+  } catch (...) {
+    // Out of memory: the event is dropped and counted.
+  }
 }
 
 void tracer::start(std::size_t per_thread_capacity) {
@@ -117,7 +131,7 @@ void tracer::emit(event_kind kind, std::uint16_t name, std::uint64_t arg0,
   e.arg1 = arg1;
   e.name = name;
   e.kind = kind;
-  b->push(e);
+  b->push(*this, e);
 }
 
 void tracer::begin_phase(std::string_view label) {
@@ -137,6 +151,7 @@ std::vector<event> tracer::collect() const {
     std::scoped_lock lock(registry_mutex_);
     for (const auto& b : buffers_) {
       thread_buffer::ring* r = b->current.load(std::memory_order_acquire);
+      if (r == nullptr) continue;  // the thread never recorded an event
       const std::size_t h =
           std::min(b->head.load(std::memory_order_acquire), r->capacity);
       for (std::size_t i = 0; i < h; ++i) {

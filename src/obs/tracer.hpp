@@ -1,9 +1,12 @@
 // Low-overhead event tracer: the recording half of rdp::obs.
 //
 // Design. Each emitting thread owns one append-only ring of `event` slots,
-// registered with the process-wide tracer on first use and kept alive until
-// process exit (so events from threads that have already terminated survive
-// into the collected trace). The hot path is wait-free and touches no lock:
+// allocated on the thread's first recorded event (labelling a thread does
+// not allocate one), registered with the process-wide tracer and kept alive
+// until process exit (so events from threads that have already terminated
+// survive into the collected trace). Past a thread's first recorded event,
+// which takes the registry lock once to allocate the ring, the hot path is
+// wait-free and touches no lock:
 //   relaxed load of the global enabled flag  (the only cost when off)
 //   steady_clock read + two relaxed/release stores  (when on)
 // A full buffer drops the event and counts the drop — recording never blocks
@@ -103,6 +106,9 @@ private:
   tracer& operator=(const tracer&) = delete;
 
   thread_buffer* local_buffer();
+  /// Slow path of a thread's first recorded event: give `b` its ring
+  /// (left without one when the allocation fails).
+  void allocate_ring(thread_buffer& b) noexcept;
 
   static thread_local thread_buffer* tl_buffer_;
 

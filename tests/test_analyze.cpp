@@ -280,9 +280,11 @@ TEST(RawTrace, ReaderRejectsMalformedInput) {
 // invariants rather than exact times.
 TEST(AnalyzeEndToEnd, RealForkJoinCapture) {
   auto& t = obs::tracer::instance();
-  forkjoin::worker_pool pool(2);
   t.start();
   t.begin_phase("e2e");
+  // The pool starts after the phase marker: a worker that parks between
+  // start() and begin_phase() would otherwise open an untitled phase.
+  forkjoin::worker_pool pool(2);
   std::atomic<int> ran{0};
   {
     forkjoin::task_group g(pool);

@@ -97,32 +97,6 @@ void chain_step::depends(int tag, chain_ctx& ctx,
   if (tag > 0) dc.require(ctx.values, tag - 1);
 }
 
-TEST(Cnc, RearmedContextRunsASecondWave) {
-  // The batch server's re-arm cycle: after quiescence, clearing the
-  // collections and re-arming the context must allow the SAME tags again —
-  // DSA and tag memoisation restart from scratch, stats are per-wave.
-  hello_ctx ctx;
-  ctx.tags.put(4);
-  ctx.wait();
-  double v = 0;
-  ctx.data.get(4, v);
-  EXPECT_DOUBLE_EQ(v, 10.0);
-  EXPECT_EQ(ctx.stats().steps_executed, 1u);
-
-  ctx.data.clear();
-  ctx.tags.clear();
-  ctx.rearm();
-  ctx.reset_stats();
-  EXPECT_EQ(ctx.data.size(), 0u);
-
-  ctx.tags.put(4);  // duplicate of wave 1: only legal because of the clear
-  ctx.wait();
-  v = 0;
-  ctx.data.get(4, v);
-  EXPECT_DOUBLE_EQ(v, 10.0);
-  EXPECT_EQ(ctx.stats().steps_executed, 1u);  // wave-local, not cumulative
-}
-
 TEST(Cnc, ChainWithRetriesComputesPrefixSums) {
   chain_ctx ctx(schedule_policy::spawn_immediately);
   constexpr int kN = 64;

@@ -47,7 +47,7 @@ run_options options_for(std::size_t base, forkjoin::worker_pool& pool) {
 template <class Table, class Reset>
 void check_point(benchmark_id bm, const problem_ref& prob,
                  const run_options& opts, Table& table, const Reset& reset,
-                 std::size_t min_ran = 15) {
+                 std::size_t min_ran = 13) {
   const std::size_t n = problem_size(prob);
   const variant* serial = find_variant(bm, "serial");
   ASSERT_NE(serial, nullptr);
@@ -79,8 +79,8 @@ void check_point(benchmark_id bm, const problem_ref& prob,
     }
     ++ran;
   }
-  // forkjoin + tiled + 6 dataflow modes + rway:r2 + prepared +
-  // prepared:batched always apply on a power-of-two sweep point (11 rows
+  // forkjoin + tiled + 4 dataflow modes + rway:r2 + prepared +
+  // prepared:batched always apply on a power-of-two sweep point (9 rows
   // past serial); GE/SW/FW add their 4 sim modes; rway:r4 joins whenever
   // n/base is a power of 4.
   EXPECT_GE(ran, min_ran) << "registry lost variants at n=" << n
@@ -91,7 +91,7 @@ TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
   for (benchmark_id bm : {benchmark_id::ge, benchmark_id::sw,
                           benchmark_id::fw}) {
     const auto rows = variants_for(bm);
-    ASSERT_EQ(rows.size(), 17u) << to_string(bm);
+    ASSERT_EQ(rows.size(), 15u) << to_string(bm);
     // Labels resolve back to their own row, and are unique per benchmark.
     for (const variant* v : rows)
       EXPECT_EQ(find_variant(bm, v->label), v) << v->label;
@@ -100,17 +100,17 @@ TEST(RegistryShape, AdvertisesEveryBackendPerBenchmark) {
   // series (the simulator's cost model only covers the paper's figures).
   for (benchmark_id bm : {benchmark_id::lcs, benchmark_id::paren}) {
     const auto rows = variants_for(bm);
-    ASSERT_EQ(rows.size(), 13u) << to_string(bm);
+    ASSERT_EQ(rows.size(), 11u) << to_string(bm);
     for (const variant* v : rows) {
       EXPECT_EQ(find_variant(bm, v->label), v) << v->label;
       EXPECT_NE(v->backend, backend_kind::sim) << v->label;
     }
   }
-  EXPECT_EQ(registry().size(), 77u);
+  EXPECT_EQ(registry().size(), 67u);
   EXPECT_EQ(find_variant(benchmark_id::ge, "no-such-backend"), nullptr);
   EXPECT_NE(impl_help().find("dataflow:tuner"), std::string::npos);
-  EXPECT_NE(impl_help().find("dataflow:batched"), std::string::npos);
-  EXPECT_NE(impl_help().find("dataflow:sharded"), std::string::npos);
+  EXPECT_EQ(impl_help().find("dataflow:batched"), std::string::npos);
+  EXPECT_EQ(impl_help().find("dataflow:sharded"), std::string::npos);
   EXPECT_NE(impl_help().find("prepared:batched"), std::string::npos);
   EXPECT_NE(impl_help().find("sim:omp"), std::string::npos);
 }
@@ -162,7 +162,7 @@ TEST(RegistryEquivalence, LcsAllVariantsMatchSerial) {
     check_point(benchmark_id::lcs, lcs_problem(s, a, b),
                 options_for(pt.base, pool), s,
                 [&] { s = matrix<std::int32_t>(pt.n + 1, pt.n + 1, 0); },
-                /*min_ran=*/11);
+                /*min_ran=*/9);
   }
 }
 
@@ -179,7 +179,7 @@ TEST(RegistryEquivalence, ParenAllVariantsMatchSerial) {
     check_point(benchmark_id::paren, paren_problem(c, dims),
                 options_for(pt.base, pool), c,
                 [&] { c = matrix<double>(pt.n, pt.n, 0.0); },
-                /*min_ran=*/11);
+                /*min_ran=*/9);
   }
 }
 

@@ -1,7 +1,6 @@
 // Graph-reuse and batch-server coverage: a prepared_graph executed
 // back-to-back must stay bit-identical to fresh-build runs for every
-// benchmark; a re-armed dataflow_session must do the same; and the server
-// must preserve those guarantees under admission control, batching, and
+// benchmark; and the server must preserve those guarantees under admission control, batching, and
 // concurrent submission. Runs under the TSan/UBSan presets (LABELS runtime).
 #include <cstdint>
 #include <future>
@@ -225,35 +224,6 @@ TEST(PreparedGraph, ConcurrentExecutionsShareOneGraph) {
   }
 }
 
-// ---- dataflow_session re-arm ----------------------------------------------
-
-TEST(DataflowSession, ReuseBitExact) {
-  matrix<double> exemplar = ge_input(6);
-  auto structural = make_ge_spec(exemplar, k_base);
-  exec::dataflow_options opts;
-  opts.workers = 3;
-  exec::dataflow_session session(*structural, opts);
-  for (std::uint64_t seed = 40; seed < 44; ++seed) {
-    const matrix<double> input = ge_input(seed);
-    const matrix<double> expected = ge_expected(input);
-    auto m = input;
-    auto spec = make_ge_spec(m, k_base);
-    const cnc_run_info info = session.execute(*spec);
-    EXPECT_GT(info.stats.steps_executed, 0u);
-    EXPECT_EQ(m, expected) << "re-armed session diverged, seed=" << seed;
-  }
-}
-
-TEST(DataflowSession, RejectsStructuralMismatch) {
-  matrix<double> exemplar = ge_input(7);
-  auto structural = make_ge_spec(exemplar, k_base);
-  exec::dataflow_options opts;
-  opts.workers = 2;
-  exec::dataflow_session session(*structural, opts);
-  auto coarser = make_ge_spec(exemplar, k_base * 2);
-  EXPECT_THROW(session.execute(*coarser), contract_error);
-}
-
 // ---- batch server ---------------------------------------------------------
 
 /// One GE instance routed through the server; the table the caller handed
@@ -295,13 +265,6 @@ TEST(BatchServer, PreparedModeBitExact) {
   cfg.workers = 3;
   cfg.mode = server::exec_mode::prepared;
   check_server_ge(cfg, 8);
-}
-
-TEST(BatchServer, RearmModeBitExact) {
-  server::server_config cfg;
-  cfg.workers = 3;
-  cfg.mode = server::exec_mode::rearm;
-  check_server_ge(cfg, 6);
 }
 
 /// The server must carry the variable-arity graph end to end: prepare one

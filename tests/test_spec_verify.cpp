@@ -533,8 +533,7 @@ TEST(SpecVerifyProperty, RandomCellsAgreeAcrossExecutionModels) {
     EXPECT_EQ(fj.table(), oracle.table()) << "trial " << trial;
 
     for (const cnc_variant v :
-         {cnc_variant::native, cnc_variant::tuner, cnc_variant::nonblocking,
-          cnc_variant::batched, cnc_variant::sharded}) {
+         {cnc_variant::native, cnc_variant::tuner, cnc_variant::nonblocking}) {
       auto df = make();
       df.run_cnc(base, v, 3);
       EXPECT_EQ(df.table(), oracle.table())

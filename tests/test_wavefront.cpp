@@ -78,8 +78,7 @@ TEST_P(WavefrontModels, LcsAgreesAcrossAllModels) {
   EXPECT_TRUE(p.table() == loop_table);
 
   for (cnc_variant v : {cnc_variant::native, cnc_variant::tuner,
-                        cnc_variant::manual, cnc_variant::nonblocking,
-                        cnc_variant::batched, cnc_variant::sharded}) {
+                        cnc_variant::manual, cnc_variant::nonblocking}) {
     p.reset();
     const auto info = p.run_cnc(base, v, 4);
     EXPECT_TRUE(p.table() == loop_table) << to_string(v);
