@@ -9,12 +9,13 @@
 #include <iostream>
 #include <string>
 
+#include "dp/registry.hpp"
+#include "exec/derive.hpp"
 #include "sim/des.hpp"
 #include "sim/machine.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
 #include "support/table_printer.hpp"
-#include "trace/builders.hpp"
 
 int main(int argc, char** argv) {
   using namespace rdp;
@@ -37,7 +38,10 @@ int main(int argc, char** argv) {
   std::cout << "=== r-way ablation: GE fork-join DAG, " << t << "x" << t
             << " tiles of " << b << " ===\n\n";
 
-  const auto df = trace::analyze_work_span(trace::build_ge_dataflow(t, b));
+  // Both DAGs come from the GE spec: data-flow from its dependences,
+  // fork-join by recording exec/rway.cpp's lowering.
+  const dp::tile_spec spec(dp::benchmark_id::ge, t);
+  const auto df = trace::analyze_work_span(exec::derive_dataflow(*spec, b));
   const auto mach = sim::epyc64();
   auto dur = [&](const trace::task_node& node) {
     return static_cast<double>(node.work) * mach.model.flop_time_s;
@@ -59,7 +63,7 @@ int main(int argc, char** argv) {
       s /= r;
     }
     if (!ok) continue;
-    const auto g = trace::build_ge_forkjoin_rway(t, b, r);
+    const auto g = exec::derive_rway(*spec, r, b);
     const auto ws = trace::analyze_work_span(g);
     const auto des = sim::simulate(g, mach.cores, dur);
     table.add_row({std::to_string(r), table_printer::num(ws.span),

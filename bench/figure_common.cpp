@@ -22,6 +22,7 @@
 #include "obs/sampler.hpp"
 #include "obs/summary.hpp"
 #include "obs/tracer.hpp"
+#include "sim/experiment.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
@@ -31,15 +32,6 @@
 namespace rdp::bench {
 
 namespace {
-
-dp::benchmark_id to_benchmark_id(sim::benchmark bm) {
-  switch (bm) {
-    case sim::benchmark::ge: return dp::benchmark_id::ge;
-    case sim::benchmark::sw: return dp::benchmark_id::sw;
-    case sim::benchmark::fw: return dp::benchmark_id::fw;
-  }
-  return dp::benchmark_id::ge;
-}
 
 /// The simulated series, derived from the registry's sim:* rows so the
 /// figure sweeps and the equivalence/verification gates can never disagree
@@ -318,9 +310,8 @@ int run_trace_capture(const figure_options& opts, const trace_options& topt) {
   std::unique_ptr<counter_log> pmu;
   if (topt.counters) pmu = std::make_unique<counter_log>();
 
-  const dp::benchmark_id bm = to_benchmark_id(opts.bm);
   const std::vector<const dp::variant*> impls = resolve_impls(
-      bm, topt.impls.empty() ? std::string(k_default_impls) : topt.impls);
+      opts.bm, topt.impls.empty() ? std::string(k_default_impls) : topt.impls);
   if (impls.empty()) return 2;
 
   auto& t = obs::tracer::instance();
@@ -346,7 +337,7 @@ int run_trace_capture(const figure_options& opts, const trace_options& topt) {
   // Per-benchmark problem *data* setup; the scheduling of every phase comes
   // from the registry entry (src/exec backends), not from code here.
   switch (opts.bm) {
-    case sim::benchmark::ge: {
+    case dp::benchmark_id::ge: {
       const std::size_t n = 512;
       const std::size_t base =
           resolve_trace_base(topt, dp::tune_target::ge, n, 64);
@@ -356,10 +347,10 @@ int run_trace_capture(const figure_options& opts, const trace_options& topt) {
       auto m = input;
       run_trace_phases(impls, tag, base, workers, pmu.get(),
                        [&] { m = input; }, dp::ge_problem(m),
-                       sim::to_string(opts.bm), topt.reps, report_ptr);
+                       figure_label(opts.bm), topt.reps, report_ptr);
       break;
     }
-    case sim::benchmark::sw: {
+    case dp::benchmark_id::sw: {
       const std::size_t n = 512;
       const std::size_t base =
           resolve_trace_base(topt, dp::tune_target::sw, n, 64);
@@ -372,10 +363,10 @@ int run_trace_capture(const figure_options& opts, const trace_options& topt) {
       run_trace_phases(impls, tag, base, workers, pmu.get(),
                        [&] { s = matrix<std::int32_t>(n + 1, n + 1, 0); },
                        dp::sw_problem(s, a, b, p),
-                       sim::to_string(opts.bm), topt.reps, report_ptr);
+                       figure_label(opts.bm), topt.reps, report_ptr);
       break;
     }
-    case sim::benchmark::fw: {
+    case dp::benchmark_id::fw: {
       const std::size_t n = 256;
       const std::size_t base =
           resolve_trace_base(topt, dp::tune_target::fw, n, 32);
@@ -388,9 +379,12 @@ int run_trace_capture(const figure_options& opts, const trace_options& topt) {
       auto m = input;
       run_trace_phases(impls, tag, base, workers, pmu.get(),
                        [&] { m = input; }, dp::fw_problem(m),
-                       sim::to_string(opts.bm), topt.reps, report_ptr);
+                       figure_label(opts.bm), topt.reps, report_ptr);
       break;
     }
+    case dp::benchmark_id::lcs:
+    case dp::benchmark_id::paren:
+      break;  // no paper figure
   }
 
   std::vector<obs::event> events;
@@ -461,6 +455,10 @@ bool probe_writable(const std::string& path) {
 }
 
 }  // namespace
+
+const char* figure_label(dp::benchmark_id bm) {
+  return bm == dp::benchmark_id::fw ? "FW-APSP" : dp::to_string(bm);
+}
 
 int run_figure_bench(int argc, const char* const* argv,
                      const figure_options& opts) {
@@ -565,16 +563,18 @@ int run_figure_bench(int argc, const char* const* argv,
     }
   }
 
-  const std::vector<const dp::variant*> series =
-      sim_series(to_benchmark_id(opts.bm));
+  std::vector<sim::exec_variant> variants;
   std::string series_names;
-  for (const dp::variant* v : series) {
+  for (const dp::variant* v : sim_series(opts.bm)) {
+    variants.push_back(dp::sim_mode_to_exec(v->mode));
     if (!series_names.empty()) series_names += ", ";
-    series_names += sim::to_string(dp::sim_mode_to_exec(v->mode));
+    series_names += sim::to_string(variants.back());
   }
+  const char* const label = figure_label(opts.bm);
+  const dp::structure_kind structure = dp::tile_spec(opts.bm, 1)->structure();
   std::cout << "=== " << opts.figure_name << " ===\n"
             << "machine: " << opts.machine.name << " (" << opts.machine.cores
-            << " cores)   benchmark: " << sim::to_string(opts.bm) << "\n"
+            << " cores)   benchmark: " << label << "\n"
             << "series: " << series_names
             << (opts.with_estimated ? ", Estimated" : "") << "\n"
             << "(simulated execution times — shapes, not absolute seconds;"
@@ -591,31 +591,32 @@ int run_figure_bench(int argc, const char* const* argv,
     const auto bases = panel_bases(n, opts.min_base, full);
     std::cout << (n / 1024) << "K Matrix\n";
     std::vector<std::string> header = {"Base Size"};
-    for (const dp::variant* v : series)
-      header.push_back(sim::to_string(dp::sim_mode_to_exec(v->mode)));
+    for (const sim::exec_variant v : variants)
+      header.push_back(sim::to_string(v));
     if (opts.with_estimated) header.push_back("Estimated");
     table_printer table(header);
 
     for (std::size_t base : bases) {
       std::vector<std::string> row = {std::to_string(base)};
-      for (const dp::variant* sv : series) {
-        const sim::exec_variant v = dp::sim_mode_to_exec(sv->mode);
-        const auto r = sim::simulate_variant(opts.bm, v, n, base,
-                                             opts.machine);
+      // The series share the point's derivations (one per DAG kind).
+      const std::vector<sim::variant_result> results =
+          dp::simulate(opts.bm, n, base, variants, opts.machine);
+      for (std::size_t i = 0; i < variants.size(); ++i) {
+        const sim::variant_result& r = results[i];
         row.push_back(table_printer::num(r.seconds));
-        csv.add_row({opts.figure_name, opts.machine.name,
-                     sim::to_string(opts.bm), std::to_string(n),
-                     std::to_string(base), sim::to_string(v),
+        csv.add_row({opts.figure_name, opts.machine.name, label,
+                     std::to_string(n), std::to_string(base),
+                     sim::to_string(variants[i]),
                      table_printer::num(r.seconds, 9),
                      table_printer::num(r.utilization, 6),
                      std::to_string(r.base_tasks)});
       }
       if (opts.with_estimated) {
-        const double est = sim::estimated_seconds(opts.bm, n, base,
-                                                  opts.machine);
+        const double est =
+            sim::estimated_seconds(structure, n, base, opts.machine);
         row.push_back(table_printer::num(est));
-        csv.add_row({opts.figure_name, opts.machine.name,
-                     sim::to_string(opts.bm), std::to_string(n),
+        csv.add_row({opts.figure_name, opts.machine.name, label,
+                     std::to_string(n),
                      std::to_string(base), "Estimated",
                      table_printer::num(est, 9), "", ""});
       }

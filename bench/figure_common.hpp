@@ -8,7 +8,7 @@
 // writes a CSV with all series.
 #pragma once
 
-#include "sim/experiment.hpp"
+#include "dp/registry.hpp"
 #include "sim/machine.hpp"
 
 namespace rdp::bench {
@@ -16,11 +16,15 @@ namespace rdp::bench {
 struct figure_options {
   const char* figure_name;  // e.g. "Figure 4: Gaussian Elimination, EPYC-64"
   const char* csv_file;     // e.g. "fig4_ge_epyc64.csv"
-  sim::benchmark bm;
+  dp::benchmark_id bm;
   sim::machine_profile machine;
   bool with_estimated = false;  // the GE/FW "Estimated" analytical series
   std::size_t min_base = 64;    // smallest base size in the sweep
 };
+
+/// The benchmark's name in figure CSVs, tables and trace phases: the
+/// registry name, except the paper's "FW-APSP" for Floyd-Warshall.
+const char* figure_label(dp::benchmark_id bm);
 
 /// Runs the sweep; returns a process exit code. Flags:
 ///   --quick        only the 2K and 4K panels

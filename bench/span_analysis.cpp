@@ -15,9 +15,10 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "dp/dp.hpp"
+#include "exec/derive.hpp"
+#include "figure_common.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "obs/analyze.hpp"
 #include "obs/tracer.hpp"
@@ -25,18 +26,11 @@
 #include "support/csv.hpp"
 #include "support/rng.hpp"
 #include "support/table_printer.hpp"
-#include "trace/builders.hpp"
 
 namespace {
 
 using namespace rdp;
 using trace::analyze_work_span;
-
-struct bm_builders {
-  const char* name;
-  trace::task_graph (*dataflow)(std::size_t, std::size_t);
-  trace::task_graph (*forkjoin)(std::size_t, std::size_t);
-};
 
 struct measured_run {
   double work_ms = 0;
@@ -48,7 +42,7 @@ struct measured_run {
 
 /// One real traced execution at n = tiles*base; work/span come from the
 /// post-mortem analyzer, i.e. from the task DAG that actually executed.
-std::optional<measured_run> run_measured(std::string_view bm,
+std::optional<measured_run> run_measured(dp::benchmark_id bm,
                                          std::size_t tiles, std::size_t base,
                                          bool forkjoin_model) {
   const std::size_t n = tiles * base;
@@ -56,7 +50,7 @@ std::optional<measured_run> run_measured(std::string_view bm,
   auto& t = obs::tracer::instance();
   t.start();
   t.begin_phase("measured");
-  if (bm == "GE") {
+  if (bm == dp::benchmark_id::ge) {
     auto m = make_diag_dominant(n, 1);
     if (forkjoin_model) {
       forkjoin::worker_pool pool(workers);
@@ -64,7 +58,7 @@ std::optional<measured_run> run_measured(std::string_view bm,
     } else {
       dp::ge_cnc(m, base, dp::cnc_variant::native, workers);
     }
-  } else if (bm == "SW") {
+  } else if (bm == dp::benchmark_id::sw) {
     const auto a = make_dna(n, 7);
     const auto b = make_dna(n, 8);
     const dp::sw_params p;
@@ -95,7 +89,7 @@ std::optional<measured_run> run_measured(std::string_view bm,
 
 #else
 
-std::optional<measured_run> run_measured(std::string_view, std::size_t,
+std::optional<measured_run> run_measured(dp::benchmark_id, std::size_t,
                                          std::size_t, bool) {
   return std::nullopt;  // tracer compiled out (RDP_TRACE=OFF)
 }
@@ -119,11 +113,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const bm_builders benchmarks[] = {
-      {"GE", &trace::build_ge_dataflow, &trace::build_ge_forkjoin},
-      {"SW", &trace::build_sw_dataflow, &trace::build_sw_forkjoin},
-      {"FW-APSP", &trace::build_fw_dataflow, &trace::build_fw_forkjoin},
-  };
+  const dp::benchmark_id benchmarks[] = {
+      dp::benchmark_id::ge, dp::benchmark_id::sw, dp::benchmark_id::fw};
 
   std::cout << "=== E-X2: artificial dependencies inflate the span "
                "(work/span of the two DAGs, base = 64) ===\n"
@@ -140,12 +131,13 @@ int main(int argc, char** argv) {
                          "par FJ", "par DF", "span ratio FJ/DF",
                          "meas par FJ", "meas par DF", "meas ratio"});
     for (std::size_t t : {4, 8, 16, 32, 64, 128}) {
-      const auto df = analyze_work_span(bm.dataflow(t, kBase));
-      const auto fj = analyze_work_span(bm.forkjoin(t, kBase));
+      const dp::tile_spec spec(bm, t);
+      const auto df = analyze_work_span(exec::derive_dataflow(*spec, kBase));
+      const auto fj = analyze_work_span(exec::derive_forkjoin(*spec, kBase));
       std::optional<measured_run> mfj, mdf;
       if (t <= static_cast<std::size_t>(measured_max_tiles)) {
-        mfj = run_measured(bm.name, t, kBase, /*forkjoin_model=*/true);
-        mdf = run_measured(bm.name, t, kBase, /*forkjoin_model=*/false);
+        mfj = run_measured(bm, t, kBase, /*forkjoin_model=*/true);
+        mdf = run_measured(bm, t, kBase, /*forkjoin_model=*/false);
       }
       table.add_row(
           {std::to_string(t), table_printer::num(df.total_work),
@@ -159,7 +151,7 @@ int main(int argc, char** argv) {
                       : "-"});
       auto emit = [&](const char* model, const trace::work_span& ws,
                       const std::optional<measured_run>& m) {
-        csv.add_row({bm.name, std::to_string(t), model,
+        csv.add_row({bench::figure_label(bm), std::to_string(t), model,
                      table_printer::num(ws.total_work, 9),
                      table_printer::num(ws.span, 9),
                      table_printer::num(ws.parallelism(), 6),
@@ -170,7 +162,7 @@ int main(int argc, char** argv) {
       emit("forkjoin", fj, mfj);
       emit("dataflow", df, mdf);
     }
-    std::cout << bm.name << "\n";
+    std::cout << bench::figure_label(bm) << "\n";
     table.print(std::cout);
     std::cout << "\n";
   }

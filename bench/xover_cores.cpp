@@ -9,6 +9,8 @@
 #include <iostream>
 #include <string>
 
+#include "dp/registry.hpp"
+#include "figure_common.hpp"
 #include "sim/experiment.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -34,27 +36,31 @@ int main(int argc, char** argv) {
   csv_writer csv({"benchmark", "cores", "OpenMP_s", "CnC_tuner_s",
                   "cnc_over_omp"});
 
-  for (const sim::benchmark bm : {sim::benchmark::ge, sim::benchmark::fw}) {
+  for (const dp::benchmark_id bm : {dp::benchmark_id::ge, dp::benchmark_id::fw}) {
+    const char* const label = bench::figure_label(bm);
     table_printer table({"cores", "OpenMP (s)", "CnC_tuner (s)",
                          "CnC/OMP ratio", "OMP util", "CnC util"});
     for (unsigned cores : {8u, 16u, 32u, 64u, 96u, 128u, 192u, 256u}) {
-      const auto mach = sim::with_cores(sim::skylake192(), cores);
-      const auto omp = sim::simulate_variant(
-          bm, sim::exec_variant::omp_tasking, n, base, mach);
-      const auto cnc = sim::simulate_variant(
-          bm, sim::exec_variant::cnc_tuner, n, base, mach);
+      // Throws contract_error unless n and base are powers of two with
+      // base <= n.
+      const auto r = dp::simulate(
+          bm, static_cast<std::size_t>(n), static_cast<std::size_t>(base),
+          {sim::exec_variant::omp_tasking, sim::exec_variant::cnc_tuner},
+          sim::with_cores(sim::skylake192(), cores));
+      const sim::variant_result& omp = r[0];
+      const sim::variant_result& cnc = r[1];
       const double ratio = cnc.seconds / omp.seconds;
       table.add_row({std::to_string(cores), table_printer::num(omp.seconds),
                      table_printer::num(cnc.seconds),
                      table_printer::num(ratio),
                      table_printer::num(omp.utilization),
                      table_printer::num(cnc.utilization)});
-      csv.add_row({sim::to_string(bm), std::to_string(cores),
+      csv.add_row({label, std::to_string(cores),
                    table_printer::num(omp.seconds, 9),
                    table_printer::num(cnc.seconds, 9),
                    table_printer::num(ratio, 6)});
     }
-    std::cout << sim::to_string(bm) << "\n";
+    std::cout << label << "\n";
     table.print(std::cout);
     std::cout << "(ratio < 1 means data-flow wins; expected to fall below 1 "
                  "as cores grow while fork-join utilisation collapses)\n\n";

@@ -1,22 +1,27 @@
 // Export the task DAGs of a small problem as Graphviz DOT — the quickest
 // way to *see* the artificial dependencies: render the fork-join and
-// data-flow graphs of the same benchmark side by side.
+// data-flow graphs of the same benchmark side by side. Both are derived
+// from the benchmark's spec (exec/derive.hpp), so any of the five exports.
 //
 //   $ ./dag_export --benchmark=sw --tiles=4 --out-prefix=sw4
 //   $ dot -Tsvg sw4_forkjoin.dot > fj.svg && dot -Tsvg sw4_dataflow.dot > df.svg
+#include <cctype>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "dp/registry.hpp"
+#include "exec/derive.hpp"
 #include "support/cli.hpp"
-#include "trace/builders.hpp"
 
 int main(int argc, char** argv) {
   using namespace rdp;
   std::string bm = "sw", prefix = "dag";
   std::int64_t tiles = 4, base = 8;
   cli_parser cli("Export fork-join and data-flow task DAGs as DOT");
-  cli.add_string("benchmark", &bm, "ge | sw | fw (default sw)");
+  cli.add_string("benchmark", &bm,
+                 "ge | sw | fw | lcs | paren (default sw)");
   cli.add_int("tiles", &tiles, "tiles per side, power of two (default 4)");
   cli.add_int("base", &base, "base size, for task work labels (default 8)");
   cli.add_string("out-prefix", &prefix, "output file prefix (default dag)");
@@ -29,20 +34,21 @@ int main(int argc, char** argv) {
   const auto t = static_cast<std::size_t>(tiles);
   const auto b = static_cast<std::size_t>(base);
 
-  trace::task_graph fj, df;
-  if (bm == "ge") {
-    fj = trace::build_ge_forkjoin(t, b);
-    df = trace::build_ge_dataflow(t, b);
-  } else if (bm == "sw") {
-    fj = trace::build_sw_forkjoin(t, b);
-    df = trace::build_sw_dataflow(t, b);
-  } else if (bm == "fw") {
-    fj = trace::build_fw_forkjoin(t, b);
-    df = trace::build_fw_dataflow(t, b);
-  } else {
+  std::optional<dp::benchmark_id> id;
+  for (const dp::benchmark_id candidate :
+       {dp::benchmark_id::ge, dp::benchmark_id::sw, dp::benchmark_id::fw,
+        dp::benchmark_id::lcs, dp::benchmark_id::paren}) {
+    std::string name = dp::to_string(candidate);
+    for (char& ch : name) ch = static_cast<char>(std::tolower(ch));
+    if (name == bm) id = candidate;
+  }
+  if (!id) {
     std::cerr << "unknown benchmark: " << bm << "\n";
     return 2;
   }
+  const dp::tile_spec spec(*id, t);
+  const trace::task_graph fj = exec::derive_forkjoin(*spec, b);
+  const trace::task_graph df = exec::derive_dataflow(*spec, b);
 
   for (const auto& [graph, kind] :
        {std::pair<const trace::task_graph&, const char*>{fj, "forkjoin"},

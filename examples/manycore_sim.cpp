@@ -9,6 +9,7 @@
 #include <iostream>
 #include <string>
 
+#include "dp/registry.hpp"
 #include "sim/experiment.hpp"
 #include "support/cli.hpp"
 #include "support/table_printer.hpp"
@@ -28,29 +29,39 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  sim::benchmark bm;
+  dp::benchmark_id bm;
   if (bm_name == "ge") {
-    bm = sim::benchmark::ge;
+    bm = dp::benchmark_id::ge;
   } else if (bm_name == "sw") {
-    bm = sim::benchmark::sw;
+    bm = dp::benchmark_id::sw;
   } else if (bm_name == "fw") {
-    bm = sim::benchmark::fw;
+    bm = dp::benchmark_id::fw;
   } else {
     std::cerr << "unknown benchmark: " << bm_name << "\n";
     return 2;
   }
+  const auto b = static_cast<std::size_t>(base);
 
-  std::cout << "=== " << sim::to_string(bm) << " " << n << ", base " << base
+  // Fork-join and Tuner-CnC predictions for one problem size (throws
+  // contract_error unless size and base are powers of two, base <= size).
+  struct prediction {
+    sim::variant_result omp, cnc;
+  };
+  auto predict = [&](std::size_t size, const sim::machine_profile& mach) {
+    const auto r = dp::simulate(
+        bm, size, b,
+        {sim::exec_variant::omp_tasking, sim::exec_variant::cnc_tuner}, mach);
+    return prediction{r[0], r[1]};
+  };
+
+  std::cout << "=== " << dp::to_string(bm) << " " << n << ", base " << base
             << ": what would happen on a bigger machine? ===\n\n";
 
   table_printer sweep({"cores", "OpenMP (s)", "CnC_tuner (s)", "winner",
                        "OMP util", "CnC util"});
   for (unsigned cores : {4u, 8u, 16u, 32u, 64u, 128u, 192u}) {
-    const auto mach = sim::with_cores(sim::skylake192(), cores);
-    const auto omp = sim::simulate_variant(
-        bm, sim::exec_variant::omp_tasking, n, base, mach);
-    const auto cnc = sim::simulate_variant(bm, sim::exec_variant::cnc_tuner,
-                                           n, base, mach);
+    const auto [omp, cnc] = predict(static_cast<std::size_t>(n),
+                                    sim::with_cores(sim::skylake192(), cores));
     sweep.add_row({std::to_string(cores), table_printer::num(omp.seconds),
                    table_printer::num(cnc.seconds),
                    omp.seconds <= cnc.seconds ? "fork-join" : "data-flow",
@@ -63,13 +74,8 @@ int main(int argc, char** argv) {
   table_printer fixed({"n", "OpenMP (s)", "CnC_tuner (s)", "winner"});
   const auto epyc = sim::epyc64();
   for (std::size_t size = 1024; size <= 16384; size *= 2) {
-    if (size < static_cast<std::size_t>(base)) continue;
-    const auto omp = sim::simulate_variant(
-        bm, sim::exec_variant::omp_tasking, size,
-        static_cast<std::size_t>(base), epyc);
-    const auto cnc = sim::simulate_variant(
-        bm, sim::exec_variant::cnc_tuner, size,
-        static_cast<std::size_t>(base), epyc);
+    if (size < b) continue;
+    const auto [omp, cnc] = predict(size, epyc);
     fixed.add_row({std::to_string(size), table_printer::num(omp.seconds),
                    table_printer::num(cnc.seconds),
                    omp.seconds <= cnc.seconds ? "fork-join" : "data-flow"});

@@ -55,6 +55,34 @@ constexpr const char* to_string(task_kind k) {
   return "?";
 }
 
+/// Dependency/data shape of a recurrence — what the tiled and r-way
+/// backends need to schedule rounds without consulting the split rule.
+enum class structure_kind : std::uint8_t {
+  /// GE: pivot round K touches only blocks with index > K (the update
+  /// guards prune the rest).
+  abcd_triangular,
+  /// FW: every block is updated in every pivot round.
+  abcd_full,
+  /// SW & friends: tile (I,J) needs its north-west, north and west
+  /// neighbours; k is unused (0) in tile coordinates.
+  wavefront,
+  /// Parenthesization: upper-triangular tile grid, tile (I,J) on diagonal
+  /// d = J-I reads the full row segment (I,K) K<J and column segment
+  /// (K,J) K>I — fan-in 2(J-I), growing with the diagonal (the paper's
+  /// >O(1)-dependency class). k is unused (0) in tile coordinates.
+  diagonal_3way,
+};
+
+constexpr const char* to_string(structure_kind s) {
+  switch (s) {
+    case structure_kind::abcd_triangular: return "abcd_triangular";
+    case structure_kind::abcd_full: return "abcd_full";
+    case structure_kind::wavefront: return "wavefront";
+    case structure_kind::diagonal_3way: return "diagonal_3way";
+  }
+  return "?";
+}
+
 /// Problem geometry: n×n table cut into T×T tiles of size b (b divides n).
 struct tiling {
   std::size_t n = 0;

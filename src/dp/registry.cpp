@@ -1,5 +1,7 @@
 #include "dp/registry.hpp"
 
+#include <optional>
+
 #include "dp/fw.hpp"
 #include "dp/ge.hpp"
 #include "dp/rway.hpp"
@@ -8,6 +10,7 @@
 #include "dp/tiled.hpp"
 #include "dp/verify/verify.hpp"
 #include "exec/backend.hpp"
+#include "exec/derive.hpp"
 #include "exec/prepared_graph.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "sim/experiment.hpp"
@@ -38,20 +41,6 @@ const char* to_string(backend_kind b) noexcept {
     case backend_kind::sim: return "sim";
   }
   return "?";
-}
-
-sim::benchmark to_sim_benchmark(benchmark_id bm) noexcept {
-  switch (bm) {
-    case benchmark_id::ge: return sim::benchmark::ge;
-    case benchmark_id::sw: return sim::benchmark::sw;
-    case benchmark_id::fw: return sim::benchmark::fw;
-    case benchmark_id::lcs:
-    case benchmark_id::paren:
-      // No sim:* rows exist for these; the registry never routes them here.
-      RDP_REQUIRE_MSG(false, "benchmark has no simulator series");
-      break;
-  }
-  return sim::benchmark::ge;
 }
 
 sim::exec_variant sim_mode_to_exec(std::string_view mode) {
@@ -258,8 +247,9 @@ run_outcome run_sim_v(const variant& self, const problem_ref& p,
   const sim::machine_profile machine =
       opts.sim_machine != nullptr ? *opts.sim_machine : sim::epyc64();
   const sim::variant_result r =
-      sim::simulate_variant(to_sim_benchmark(p.bm), sim_mode_to_exec(self.mode),
-                            problem_size(p), opts.base, machine);
+      simulate(p.bm, problem_size(p), opts.base,
+               {sim_mode_to_exec(self.mode)}, machine)
+          .front();
   out.simulated = true;
   out.sim_seconds = r.seconds;
   out.sim_utilization = r.utilization;
@@ -402,6 +392,56 @@ std::vector<variant> build_registry() {
 }
 
 }  // namespace
+
+tile_spec::tile_spec(benchmark_id bm, std::size_t tiles) {
+  RDP_REQUIRE_MSG(tiles >= 1, "a tile grid needs at least one tile");
+  problem_ref p;
+  p.bm = bm;
+  switch (bm) {
+    case benchmark_id::ge:
+    case benchmark_id::fw:
+    case benchmark_id::paren:
+      table_ = matrix<double>(tiles, tiles);
+      dims_.assign(tiles + 1, 1.0);
+      p.table = &table_;
+      p.dims = &dims_;
+      break;
+    case benchmark_id::sw:
+    case benchmark_id::lcs:
+      cells_ = matrix<std::int32_t>(tiles + 1, tiles + 1);
+      seq_.assign(tiles, 'A');
+      p.sw_table = &cells_;
+      p.a = p.b = seq_;
+      p.params = &params_;
+      break;
+  }
+  spec_ = make_problem_spec(p, 1);
+}
+
+std::vector<sim::variant_result> simulate(
+    benchmark_id bm, std::size_t n, std::size_t base,
+    const std::vector<sim::exec_variant>& variants,
+    const sim::machine_profile& machine) {
+  RDP_REQUIRE_MSG(is_pow2(n) && is_pow2(base) && base <= n,
+                  "n and base must be powers of two with base <= n");
+  const tile_spec spec(bm, n / base);
+  std::vector<sim::variant_result> out;
+  out.reserve(variants.size());
+  trace::task_graph g;
+  std::optional<bool> held_forkjoin;  // which DAG `g` holds, if any
+  for (const sim::exec_variant v : variants) {
+    const bool forkjoin = v == sim::exec_variant::omp_tasking;
+    if (held_forkjoin != forkjoin) {
+      g = {};  // free the other DAG before deriving this one
+      g = forkjoin ? exec::derive_forkjoin(*spec, base)
+                   : exec::derive_dataflow(*spec, base);
+      held_forkjoin = forkjoin;
+    }
+    out.push_back(
+        sim::simulate_variant(g, spec->structure(), v, base, machine));
+  }
+  return out;
+}
 
 const std::vector<variant>& registry() {
   static const std::vector<variant> rows = build_registry();

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,9 +27,9 @@ class worker_pool;
 }
 
 namespace rdp::sim {
-enum class benchmark;
 enum class exec_variant;
 struct machine_profile;
+struct variant_result;
 }  // namespace rdp::sim
 
 namespace rdp::dp {
@@ -144,8 +145,39 @@ std::string trace_phase_label(const variant& v);
 /// the simulator's execution variant. Throws contract_error otherwise.
 sim::exec_variant sim_mode_to_exec(std::string_view mode);
 
-/// The simulator's benchmark enum for a registry benchmark. Only valid for
-/// the paper's three (GE/SW/FW) — the benchmarks with sim:* rows.
-sim::benchmark to_sim_benchmark(benchmark_id bm) noexcept;
+/// Benchmark bm's spec over a tiles × tiles grid at unit base (n = tiles,
+/// base = 1), owning the placeholder problem data it views. A spec's tile
+/// DAG depends only on n/base, so this instance stands for every (n, base)
+/// with n/base == tiles: exec/derive.hpp derives the DAG from it and prices
+/// each node at the real base, and the figure sweeps at n = 16384 never
+/// allocate an n×n table. Requires tiles >= 1.
+class tile_spec {
+ public:
+  tile_spec(benchmark_id bm, std::size_t tiles);
+  tile_spec(const tile_spec&) = delete;
+  tile_spec& operator=(const tile_spec&) = delete;
+
+  recurrence& operator*() const { return *spec_; }
+  recurrence* operator->() const { return spec_.get(); }
+
+ private:
+  matrix<double> table_;
+  matrix<std::int32_t> cells_;
+  std::string seq_;
+  std::vector<double> dims_;
+  sw_params params_;
+  std::unique_ptr<recurrence> spec_;
+};
+
+/// The DES prediction for each of `variants` on benchmark bm at problem
+/// size n and tile side base (sim/experiment.hpp). Each variant is priced
+/// on the DAG its runtime executes, derived from bm's spec: the fork-join
+/// DAG for omp_tasking, the data-flow DAG for the CnC variants. Consecutive
+/// variants on the same DAG share one derivation, and only one DAG is alive
+/// at a time. Requires power-of-two n and base with base <= n.
+std::vector<sim::variant_result> simulate(
+    benchmark_id bm, std::size_t n, std::size_t base,
+    const std::vector<sim::exec_variant>& variants,
+    const sim::machine_profile& machine);
 
 }  // namespace rdp::dp

@@ -11,11 +11,10 @@
 //                   consumer_count(), manual pre-declaration from
 //                   enumerate_base(). All four cnc_variant modes.
 //   run_tiled     — the classic blocked round/wavefront schedule (no
-//                   recursion; barrier per phase).
+//                   recursion; barrier per phase): run_rway at r = n/base.
 //   run_rway      — the parametric r-way recursion (r = 2 recovers the
 //                   2-way shape with a stage structure equivalent to
-//                   run_serial/run_forkjoin; r = n/base degenerates to
-//                   run_tiled).
+//                   run_serial/run_forkjoin).
 //
 // Every backend routes base cases through recurrence::run_base (and thus
 // the dp/kernels.hpp dispatch) and preserves the exact per-variant
@@ -55,8 +54,10 @@ dp::cnc_run_info run_dataflow(dp::recurrence& rec,
 
 /// Blocked loop schedule: abcd structures run per-pivot rounds of
 /// {A; B band ∥ C band; D sweep} with a barrier per phase; wavefront
-/// structures run 2T-1 anti-diagonal waves with a barrier per wave.
-/// Requires base() to divide size() (no power-of-two constraint).
+/// structures run 2T-1 anti-diagonal waves, diagonal_3way structures T
+/// diagonals, with a barrier per wave. This is the r-way recursion's single
+/// level at r = T = size()/base(), so it runs as run_rway(rec, T). Requires
+/// base() to divide size() (no power-of-two constraint).
 void run_tiled(dp::recurrence& rec, forkjoin::worker_pool& pool);
 
 /// Parametric r-way recursion (serial when pool is null). Requires

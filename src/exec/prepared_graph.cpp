@@ -5,6 +5,7 @@
 
 #include "concurrent/backoff.hpp"
 #include "exec/banding.hpp"
+#include "exec/derive.hpp"
 #include "forkjoin/task.hpp"
 #include "obs/metrics.hpp"
 #include "support/assertions.hpp"
@@ -31,23 +32,6 @@ prepared_metrics_t& prepared_metrics() {
   return m;
 }
 
-/// Variable-arity dependency-key buffer (same contract as the data-flow
-/// lowering's dep_list: the spec's max_dependencies() bound is enforced as
-/// a consistency check, not trusted — and it is a bound, not a capacity;
-/// wide lists spill past the inline storage).
-struct key_list {
-  rdp::small_vector<dp::tile3, dp::typical_dependency_arity> keys;
-  std::size_t limit;
-
-  explicit key_list(std::size_t lim) : limit(lim) {}
-  void operator()(const dp::tile3& k) {
-    RDP_REQUIRE_MSG(keys.size() < limit,
-                    "base task emits more dependency keys than the spec's "
-                    "max_dependencies() declares");
-    keys.push_back(k);
-  }
-};
-
 }  // namespace
 
 // ---- freeze ----------------------------------------------------------------
@@ -59,57 +43,39 @@ void prepared_graph::freeze_tiles(dp::recurrence& rec,
   base_ = rec.base();
   value_passing_ = rec.value_passing();
 
-  const std::size_t max_deps = rec.max_dependencies();
-  RDP_REQUIRE_MSG(!tags.empty(),
-                  name_ + ": enumerate_base emitted no base tiles");
-
   tiles_.reserve(tags.size());
   for (const dp::tile4& tag : tags) {
-    const dp::tile3 key{tag.i, tag.j, tag.k};
-    const auto [it, inserted] =
-        slot_of_.emplace(key, static_cast<std::uint32_t>(tiles_.size()));
-    RDP_REQUIRE_MSG(inserted, name_ + ": enumerate_base emitted tile (" +
-                                  std::to_string(tag.i) + "," +
-                                  std::to_string(tag.j) + "," +
-                                  std::to_string(tag.k) + ") twice");
+    slot_of_.emplace(dp::tile3{tag.i, tag.j, tag.k},
+                     static_cast<std::uint32_t>(tiles_.size()));
     tile_rec tr;
     tr.tag = tag;
     tiles_.push_back(tr);
   }
   const auto tile_count = static_cast<std::uint32_t>(tiles_.size());
 
-  // Dependency slots: one depends() walk per tile. Keys produced by a tile
-  // resolve to its value slot; unproduced keys must be environment seeds
-  // (value-passing only).
-  for (std::uint32_t idx = 0; idx < tile_count; ++idx) {
-    tile_rec& tr = tiles_[idx];
-    const dp::tile3 coord{tr.tag.i, tr.tag.j, tr.tag.k};
-    key_list deps(max_deps);
-    rec.depends(coord, dp::dep_sink(deps));
-
-    tr.dep_begin = static_cast<std::uint32_t>(dep_slots_.size());
-    for (std::size_t d = 0; d < deps.keys.size(); ++d) {
-      const auto it = slot_of_.find(deps.keys[d]);
-      std::uint32_t slot;
-      if (it != slot_of_.end()) {
-        slot = it->second;
-      } else {
-        RDP_REQUIRE_MSG(
-            value_passing_,
-            name_ + ": base tile depends on item (" +
-                std::to_string(deps.keys[d].i) + "," +
-                std::to_string(deps.keys[d].j) + "," +
-                std::to_string(deps.keys[d].k) +
-                ") that no base task produces — a token graph cannot seed "
-                "it from the environment, so the frozen graph would "
-                "deadlock");
-        slot = tile_count + seed_slots_++;
-        slot_of_.emplace(deps.keys[d], slot);
-      }
-      dep_slots_.push_back(slot);
-    }
-    tr.dep_end = static_cast<std::uint32_t>(dep_slots_.size());
-  }
+  // Dependency slots, in depends() order per tile: a produced key's slot
+  // is its producer's index, an environment seed gets its own slot past
+  // the tiles (one per distinct key).
+  std::uint32_t opened = 0;  // tiles whose slot range has begun
+  auto open_through = [&](std::uint32_t idx) {
+    for (; opened <= idx && opened < tile_count; ++opened)
+      tiles_[opened].dep_begin = tiles_[opened].dep_end =
+          static_cast<std::uint32_t>(dep_slots_.size());
+  };
+  for_each_dependency(
+      rec, tags,
+      [&](std::uint32_t p, std::uint32_t c, const dp::tile3& key) {
+        open_through(c);
+        if (p == k_seed) {
+          const auto [it, inserted] =
+              slot_of_.emplace(key, tile_count + seed_slots_);
+          if (inserted) ++seed_slots_;
+          p = it->second;
+        }
+        dep_slots_.push_back(p);
+        tiles_[c].dep_end = static_cast<std::uint32_t>(dep_slots_.size());
+      });
+  open_through(tile_count);
 }
 
 prepared_graph prepared_graph::freeze(dp::recurrence& rec) {
@@ -117,10 +83,7 @@ prepared_graph prepared_graph::freeze(dp::recurrence& rec) {
 
   // Node set: enumerate_base() emission order (== the manual-CnC
   // pre-declaration order, so traces line up across backends).
-  std::vector<dp::tile4> tags;
-  auto emit = [&](const dp::tile4& tag) { tags.push_back(tag); };
-  rec.enumerate_base(dp::tag_sink(emit));
-  g.freeze_tiles(rec, tags);
+  g.freeze_tiles(rec, base_tiles(rec));
   const auto tile_count = static_cast<std::uint32_t>(g.tiles_.size());
 
   // Unfused: one schedule node per tile (identity member lists), CSR edges

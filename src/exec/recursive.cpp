@@ -4,15 +4,13 @@
 // execution order, so both lowerings reproduce the hand-written recursion
 // structs they replaced exactly.
 #include "exec/backend.hpp"
-
-#include "forkjoin/task_group.hpp"
+#include "exec/stage.hpp"
 
 namespace rdp::exec {
 
 namespace {
 
-void run_tile(dp::recurrence& rec, const dp::tile4& t,
-              forkjoin::worker_pool* pool) {
+void run_tile(dp::recurrence& rec, const dp::tile4& t, stage_runner run) {
   if (rec.is_base(t)) {
     rec.run_base(t);
     return;
@@ -20,30 +18,24 @@ void run_tile(dp::recurrence& rec, const dp::tile4& t,
   const dp::split_plan plan = rec.split(t);
   for (std::size_t s = 0; s < plan.stage_count; ++s) {
     const std::size_t begin = plan.stage_begin(s);
-    const std::size_t end = plan.stage_end[s];
-    if (pool == nullptr || end - begin == 1) {
-      for (std::size_t c = begin; c < end; ++c)
-        run_tile(rec, plan.children[c], pool);
-    } else {
-      // The join below is precisely the artificial barrier of §III-B.
-      forkjoin::task_group g(*pool);
-      for (std::size_t c = begin; c < end; ++c)
-        g.spawn([&rec, child = plan.children[c], pool] {
-          run_tile(rec, child, pool);
-        });
-      g.wait();
-    }
+    run(plan.stage_end[s] - begin, [&rec, &plan, begin, run](std::size_t c) {
+      run_tile(rec, plan.children[begin + c], run);
+    });
   }
 }
 
 }  // namespace
 
+void walk_split(dp::recurrence& rec, stage_runner run) {
+  run_tile(rec, rec.root(), run);
+}
+
 void run_serial(dp::recurrence& rec) {
-  run_tile(rec, rec.root(), nullptr);
+  walk_split(rec, stage_runner(nullptr));
 }
 
 void run_forkjoin(dp::recurrence& rec, forkjoin::worker_pool& pool) {
-  pool.run([&] { run_tile(rec, rec.root(), &pool); });
+  pool.run([&] { walk_split(rec, stage_runner(&pool)); });
 }
 
 }  // namespace rdp::exec

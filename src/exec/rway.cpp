@@ -1,22 +1,23 @@
 // Parametric r-way lowering (§I-A): a shallower recursion with wider
 // parallel stages and fewer joins per level. r = 2 recovers the 2-way
-// schedule; r = n/base degenerates to the tiled schedule. abcd structures
+// schedule; r = n/base is the blocked-loop (tiled) schedule of the pre-R-DP
+// state of the art, refs [7-10]. abcd structures
 // use the generic A/B/C/D stage recursion; wavefront structures execute
-// their r×r quadrants along 2r-1 anti-diagonals per level.
+// their r×r quadrants along 2r-1 anti-diagonals per level. Every stage runs
+// through the shared stage hook (exec/stage.hpp).
 #include "exec/backend.hpp"
+#include "exec/stage.hpp"
 
-#include <functional>
-#include <vector>
+#include <algorithm>
 
-#include "forkjoin/task_group.hpp"
 #include "support/assertions.hpp"
 
 namespace rdp::exec {
 
 namespace {
 
-/// Generic r-way recursion over (row origin, col origin, pivot origin,
-/// size) in element coordinates. Base regions hand off to run_base in tile
+/// The r-way recursions over (row origin, col origin, pivot origin, size)
+/// in element coordinates. Base regions hand off to run_base in tile
 /// coordinates: every origin is a multiple of the current size, so the
 /// division is exact.
 struct rway_recursion {
@@ -24,9 +25,7 @@ struct rway_recursion {
   std::size_t base;
   std::size_t r;
   bool triangular;
-  forkjoin::worker_pool* pool;  // nullptr => serial
-
-  using thunk = std::function<void()>;
+  stage_runner run;
 
   void run_base(std::size_t xi, std::size_t xj, std::size_t xk,
                 std::size_t s) {
@@ -36,16 +35,14 @@ struct rway_recursion {
                   static_cast<std::int32_t>(s)});
   }
 
-  void stage(std::vector<thunk>& fns) {
-    if (fns.empty()) return;
-    if (pool == nullptr || fns.size() == 1) {
-      for (auto& f : fns) f();
-    } else {
-      forkjoin::task_group g(*pool);
-      for (auto& f : fns) g.spawn(std::move(f));
-      g.wait();
-    }
-    fns.clear();
+  /// The sub-blocks of pivot round kk that a band or remainder stage
+  /// updates: every index but kk, or only those past kk when the update
+  /// guards prune the rest (triangular).
+  std::size_t others(std::size_t kk) const {
+    return triangular ? r - 1 - kk : r - 1;
+  }
+  std::size_t other(std::size_t kk, std::size_t m) const {
+    return triangular ? kk + 1 + m : (m < kk ? m : m + 1);
   }
 
   void funcA(std::size_t d, std::size_t s) {
@@ -55,31 +52,21 @@ struct rway_recursion {
     }
     RDP_REQUIRE_MSG(s % r == 0, "size must be base * r^L");
     const std::size_t h = s / r;
-    std::vector<thunk> fns;
     for (std::size_t kk = 0; kk < r; ++kk) {
       const std::size_t dk = d + kk * h;
+      const std::size_t q = others(kk);
       funcA(dk, h);
       // Row band (B) and column band (C) of this pivot round in parallel.
-      for (std::size_t jj = 0; jj < r; ++jj) {
-        if (jj == kk || (triangular && jj < kk)) continue;
-        fns.push_back([this, dk, dj = d + jj * h, h] { funcB(dk, dj, dk, h); });
-      }
-      for (std::size_t ii = 0; ii < r; ++ii) {
-        if (ii == kk || (triangular && ii < kk)) continue;
-        fns.push_back([this, di = d + ii * h, dk, h] { funcC(di, dk, dk, h); });
-      }
-      stage(fns);
+      run(2 * q, [&](std::size_t c) {
+        if (c < q)
+          funcB(dk, d + other(kk, c) * h, dk, h);
+        else
+          funcC(d + other(kk, c - q) * h, dk, dk, h);
+      });
       // Remainder (D) blocks, all independent.
-      for (std::size_t ii = 0; ii < r; ++ii) {
-        if (ii == kk || (triangular && ii < kk)) continue;
-        for (std::size_t jj = 0; jj < r; ++jj) {
-          if (jj == kk || (triangular && jj < kk)) continue;
-          fns.push_back([this, di = d + ii * h, dj = d + jj * h, dk, h] {
-            funcD(di, dj, dk, h);
-          });
-        }
-      }
-      stage(fns);
+      run(q * q, [&](std::size_t c) {
+        funcD(d + other(kk, c / q) * h, d + other(kk, c % q) * h, dk, h);
+      });
     }
   }
 
@@ -90,20 +77,12 @@ struct rway_recursion {
       return;
     }
     const std::size_t h = s / r;
-    std::vector<thunk> fns;
     for (std::size_t kk = 0; kk < r; ++kk) {
       const std::size_t k0 = xk + kk * h;
-      for (std::size_t jj = 0; jj < r; ++jj)
-        fns.push_back([this, k0, dj = xj + jj * h, h] { funcB(k0, dj, k0, h); });
-      stage(fns);
-      for (std::size_t ii = 0; ii < r; ++ii) {
-        if (ii == kk || (triangular && ii < kk)) continue;
-        for (std::size_t jj = 0; jj < r; ++jj)
-          fns.push_back([this, di = xi + ii * h, dj = xj + jj * h, k0, h] {
-            funcD(di, dj, k0, h);
-          });
-      }
-      stage(fns);
+      run(r, [&](std::size_t c) { funcB(k0, xj + c * h, k0, h); });
+      run(others(kk) * r, [&](std::size_t c) {
+        funcD(xi + other(kk, c / r) * h, xj + (c % r) * h, k0, h);
+      });
     }
   }
 
@@ -114,20 +93,12 @@ struct rway_recursion {
       return;
     }
     const std::size_t h = s / r;
-    std::vector<thunk> fns;
     for (std::size_t kk = 0; kk < r; ++kk) {
       const std::size_t k0 = xk + kk * h;
-      for (std::size_t ii = 0; ii < r; ++ii)
-        fns.push_back([this, di = xi + ii * h, k0, h] { funcC(di, k0, k0, h); });
-      stage(fns);
-      for (std::size_t jj = 0; jj < r; ++jj) {
-        if (jj == kk || (triangular && jj < kk)) continue;
-        for (std::size_t ii = 0; ii < r; ++ii)
-          fns.push_back([this, di = xi + ii * h, dj = xj + jj * h, k0, h] {
-            funcD(di, dj, k0, h);
-          });
-      }
-      stage(fns);
+      run(r, [&](std::size_t c) { funcC(xi + c * h, k0, k0, h); });
+      run(others(kk) * r, [&](std::size_t c) {
+        funcD(xi + (c % r) * h, xj + other(kk, c / r) * h, k0, h);
+      });
     }
   }
 
@@ -137,166 +108,97 @@ struct rway_recursion {
       return;
     }
     const std::size_t h = s / r;
-    std::vector<thunk> fns;
-    for (std::size_t kk = 0; kk < r; ++kk) {
-      const std::size_t k0 = xk + kk * h;
-      for (std::size_t ii = 0; ii < r; ++ii)
-        for (std::size_t jj = 0; jj < r; ++jj)
-          fns.push_back([this, di = xi + ii * h, dj = xj + jj * h, k0, h] {
-            funcD(di, dj, k0, h);
-          });
-      stage(fns);
-    }
+    for (std::size_t kk = 0; kk < r; ++kk)
+      run(r * r, [&](std::size_t c) {
+        funcD(xi + (c / r) * h, xj + (c % r) * h, xk + kk * h, h);
+      });
   }
-};
 
-/// r-way wavefront recursion: quadrants executed along 2r-1 anti-diagonals.
-struct rway_wavefront {
-  dp::recurrence& rec;
-  std::size_t base;
-  std::size_t r;
-  forkjoin::worker_pool* pool;
-
+  /// Wavefront: quadrants (ii, jj) with ii + jj == d are mutually
+  /// independent, so each anti-diagonal d is one stage.
   void fill(std::size_t i0, std::size_t j0, std::size_t s) {
     if (s <= base) {
-      rec.run_base({static_cast<std::int32_t>(i0 / s),
-                    static_cast<std::int32_t>(j0 / s), 0,
-                    static_cast<std::int32_t>(s)});
+      run_base(i0, j0, 0, s);
       return;
     }
     RDP_REQUIRE_MSG(s % r == 0, "size must be base * r^L");
     const std::size_t h = s / r;
     for (std::size_t d = 0; d <= 2 * (r - 1); ++d) {
-      // Quadrants (ii, jj) with ii + jj == d are mutually independent.
-      if (pool == nullptr) {
-        for (std::size_t ii = 0; ii < r; ++ii) {
-          if (d < ii || d - ii >= r) continue;
-          fill(i0 + ii * h, j0 + (d - ii) * h, h);
-        }
-      } else {
-        forkjoin::task_group g(*pool);
-        for (std::size_t ii = 0; ii < r; ++ii) {
-          if (d < ii || d - ii >= r) continue;
-          const std::size_t jj = d - ii;
-          g.spawn([this, di = i0 + ii * h, dj = j0 + jj * h, h] {
-            fill(di, dj, h);
-          });
-        }
-        g.wait();
-      }
+      const std::size_t lo = d < r ? 0 : d - r + 1;
+      run(std::min(d, r - 1) - lo + 1, [&](std::size_t c) {
+        fill(i0 + (lo + c) * h, j0 + (d - lo - c) * h, h);
+      });
     }
   }
-};
 
-/// r-way parenthesization recursion over the upper-triangular region. A
-/// diagonal region splits into its r sub-diagonals (one parallel stage)
-/// followed by the off-diagonal regions between them, shortest diagonal
-/// offset first (regions with the same offset have disjoint row and column
-/// bands, hence are independent). An off-diagonal region splits into its
-/// r×r sub-regions along 2r-1 anti-diagonal phases with rows reversed —
-/// bottom-left first — since (a,b) reads row a to its left and column b
-/// below it.
-struct rway_diagonal {
-  dp::recurrence& rec;
-  std::size_t base;
-  std::size_t r;
-  forkjoin::worker_pool* pool;
-
-  using thunk = std::function<void()>;
-
-  void run_base(std::size_t xi, std::size_t xj, std::size_t s) {
-    rec.run_base({static_cast<std::int32_t>(xi / s),
-                  static_cast<std::int32_t>(xj / s), 0,
-                  static_cast<std::int32_t>(s)});
-  }
-
-  void stage(std::vector<thunk>& fns) {
-    if (fns.empty()) return;
-    if (pool == nullptr || fns.size() == 1) {
-      for (auto& f : fns) f();
-    } else {
-      forkjoin::task_group g(*pool);
-      for (auto& f : fns) g.spawn(std::move(f));
-      g.wait();
-    }
-    fns.clear();
-  }
-
+  /// Parenthesization over the upper-triangular region. A diagonal region
+  /// splits into its r sub-diagonals (one parallel stage) followed by the
+  /// off-diagonal regions between them, shortest diagonal offset first
+  /// (regions with the same offset have disjoint row and column bands,
+  /// hence are independent).
   void diag(std::size_t d, std::size_t s) {
     if (s <= base) {
-      run_base(d, d, s);
+      run_base(d, d, 0, s);
       return;
     }
     RDP_REQUIRE_MSG(s % r == 0, "size must be base * r^L");
     const std::size_t h = s / r;
-    std::vector<thunk> fns;
-    for (std::size_t a = 0; a < r; ++a)
-      fns.push_back([this, da = d + a * h, h] { diag(da, h); });
-    stage(fns);
-    for (std::size_t o = 1; o < r; ++o) {
-      for (std::size_t a = 0; a + o < r; ++a)
-        fns.push_back([this, di = d + a * h, dj = d + (a + o) * h, h] {
-          off(di, dj, h);
-        });
-      stage(fns);
-    }
+    run(r, [&](std::size_t a) { diag(d + a * h, h); });
+    for (std::size_t o = 1; o < r; ++o)
+      run(r - o, [&](std::size_t a) { off(d + a * h, d + (a + o) * h, h); });
   }
 
+  /// An off-diagonal region splits into its r×r sub-regions along 2r-1
+  /// anti-diagonal phases with rows reversed — bottom-left first — since
+  /// (a,b) reads row a to its left and column b below it: sub-regions with
+  /// (r-1-a) + b == p are mutually independent.
   void off(std::size_t xi, std::size_t xj, std::size_t s) {
     if (s <= base) {
-      run_base(xi, xj, s);
+      run_base(xi, xj, 0, s);
       return;
     }
     RDP_REQUIRE_MSG(s % r == 0, "size must be base * r^L");
     const std::size_t h = s / r;
-    std::vector<thunk> fns;
     for (std::size_t p = 0; p <= 2 * (r - 1); ++p) {
-      // Sub-regions (a, b) with (r-1-a) + b == p are mutually independent.
-      for (std::size_t a = 0; a < r; ++a) {
-        const std::size_t need = p + a + 1;  // b = need - r
-        if (need < r || need >= 2 * r) continue;
-        fns.push_back(
-            [this, di = xi + a * h, dj = xj + (need - r) * h, h] {
-              off(di, dj, h);
-            });
-      }
-      stage(fns);
+      const std::size_t lo = p < r ? r - 1 - p : 0;
+      run(std::min(r - 1, 2 * r - 2 - p) - lo + 1, [&](std::size_t c) {
+        const std::size_t a = lo + c;
+        off(xi + a * h, xj + (p + a + 1 - r) * h, h);
+      });
     }
   }
 };
 
 }  // namespace
 
-void run_rway(dp::recurrence& rec, std::size_t r,
-              forkjoin::worker_pool* pool) {
+void walk_rway(dp::recurrence& rec, std::size_t r, stage_runner run) {
   RDP_REQUIRE_MSG(r >= 2, "r-way recursion needs r >= 2");
-  const std::size_t n = rec.size();
-  if (rec.structure() == dp::structure_kind::wavefront) {
-    rway_wavefront rw{rec, rec.base(), r, pool};
-    if (pool != nullptr) {
-      pool->run([&] { rw.fill(0, 0, n); });
-    } else {
-      rw.fill(0, 0, n);
-    }
-    return;
-  }
-  if (rec.structure() == dp::structure_kind::diagonal_3way) {
-    rway_diagonal rw{rec, rec.base(), r, pool};
-    if (pool != nullptr) {
-      pool->run([&] { rw.diag(0, n); });
-    } else {
-      rw.diag(0, n);
-    }
-    return;
-  }
   rway_recursion rw{rec, rec.base(), r,
                     rec.structure() == dp::structure_kind::abcd_triangular,
-                    pool};
-  if (pool != nullptr) {
-    pool->run([&] { rw.funcA(0, n); });
-  } else {
-    rw.funcA(0, n);
+                    run};
+  const std::size_t n = rec.size();
+  switch (rec.structure()) {
+    case dp::structure_kind::wavefront: rw.fill(0, 0, n); break;
+    case dp::structure_kind::diagonal_3way: rw.diag(0, n); break;
+    case dp::structure_kind::abcd_triangular:
+    case dp::structure_kind::abcd_full: rw.funcA(0, n); break;
   }
+}
+
+void run_rway(dp::recurrence& rec, std::size_t r,
+              forkjoin::worker_pool* pool) {
+  if (pool == nullptr) {
+    walk_rway(rec, r, stage_runner(nullptr));
+  } else {
+    pool->run([&] { walk_rway(rec, r, stage_runner(pool)); });
+  }
+}
+
+void run_tiled(dp::recurrence& rec, forkjoin::worker_pool& pool) {
+  RDP_REQUIRE_MSG(rec.base() > 0 && rec.size() % rec.base() == 0,
+                  "base must divide n");
+  // One tile is a single base case at any r >= 2.
+  run_rway(rec, std::max<std::size_t>(rec.size() / rec.base(), 2), &pool);
 }
 
 }  // namespace rdp::exec

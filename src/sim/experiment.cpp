@@ -4,7 +4,6 @@
 
 #include "support/assertions.hpp"
 #include "support/math_utils.hpp"
-#include "trace/builders.hpp"
 
 namespace rdp::sim {
 
@@ -38,9 +37,7 @@ double sw_task_data_cost(std::uint64_t m, const model::model_machine& mm) {
 }
 
 struct duration_model {
-  benchmark bm;
   exec_variant variant;
-  std::uint64_t base;
   const machine_profile* machine;
   double data_cost;  // per base task, before locality discount
 
@@ -51,9 +48,6 @@ struct duration_model {
         return rc.fj_spawn * 0.25;  // spawn bookkeeping of the batch
       case trace::node_type::join:
         return rc.fj_join;  // taskwait bookkeeping
-      case trace::node_type::source:
-      case trace::node_type::sink:
-        return 0;
       case trace::node_type::base_task:
         break;
     }
@@ -85,40 +79,16 @@ struct duration_model {
   }
 };
 
-trace::task_graph build_graph(benchmark bm, exec_variant variant,
-                              std::size_t tiles, std::size_t base) {
-  const bool fork_join = variant == exec_variant::omp_tasking;
-  switch (bm) {
-    case benchmark::ge:
-      return fork_join ? trace::build_ge_forkjoin(tiles, base)
-                       : trace::build_ge_dataflow(tiles, base);
-    case benchmark::sw:
-      return fork_join ? trace::build_sw_forkjoin(tiles, base)
-                       : trace::build_sw_dataflow(tiles, base);
-    case benchmark::fw:
-      return fork_join ? trace::build_fw_forkjoin(tiles, base)
-                       : trace::build_fw_dataflow(tiles, base);
-  }
-  RDP_REQUIRE_MSG(false, "unknown benchmark");
-  return trace::task_graph{};
-}
-
 }  // namespace
 
-variant_result simulate_variant(benchmark bm, exec_variant variant,
-                                std::size_t n, std::size_t base,
+variant_result simulate_variant(const trace::task_graph& g,
+                                dp::structure_kind structure,
+                                exec_variant variant, std::size_t base,
                                 const machine_profile& machine) {
-  RDP_REQUIRE_MSG(is_pow2(n) && is_pow2(base) && base <= n,
-                  "n and base must be powers of two");
-  const std::size_t tiles = n / base;
-  const trace::task_graph g = build_graph(bm, variant, tiles, base);
-
   duration_model dm;
-  dm.bm = bm;
   dm.variant = variant;
-  dm.base = base;
   dm.machine = &machine;
-  dm.data_cost = bm == benchmark::sw
+  dm.data_cost = structure == dp::structure_kind::wavefront
                      ? sw_task_data_cost(base, machine.model)
                      : block_task_data_cost(base, machine.model);
 
@@ -138,17 +108,18 @@ variant_result simulate_variant(benchmark bm, exec_variant variant,
   return out;
 }
 
-double estimated_seconds(benchmark bm, std::size_t n, std::size_t base,
-                         const machine_profile& machine) {
-  switch (bm) {
-    case benchmark::ge:
+double estimated_seconds(dp::structure_kind structure, std::size_t n,
+                         std::size_t base, const machine_profile& machine) {
+  switch (structure) {
+    case dp::structure_kind::abcd_triangular:
       return model::estimate_ge_time(n, base, machine.model);
-    case benchmark::fw:
+    case dp::structure_kind::abcd_full:
       return model::estimate_fw_time(n, base, machine.model);
-    case benchmark::sw:
-      RDP_REQUIRE_MSG(false,
-                      "the paper's analytical model covers GE and FW only");
+    case dp::structure_kind::wavefront:
+    case dp::structure_kind::diagonal_3way:
+      break;
   }
+  RDP_REQUIRE_MSG(false, "the paper's analytical model covers GE and FW only");
   return 0;
 }
 

@@ -1,7 +1,7 @@
 // Machine profiles for the many-core simulator.
 //
-// This box has one core; the paper's evaluation machines (AMD EPYC 7501
-// 2×32c, Intel Xeon Platinum 8160 8×24c) are modelled instead: core counts,
+// The paper's evaluation machines (AMD EPYC 7501 2×32c, Intel Xeon
+// Platinum 8160 8×24c) are modelled rather than run on: core counts,
 // per-level cache capacities and miss penalties, sustained per-update cost,
 // and the per-task overheads of each runtime variant. The overhead numbers
 // are order-of-magnitude calibrations from the real runtimes in this

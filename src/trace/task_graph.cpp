@@ -77,8 +77,6 @@ void task_graph::write_dot(std::ostream& os, const std::string& name) const {
         break;
       case node_type::fork: os << "fork"; break;
       case node_type::join: os << "join"; break;
-      case node_type::source: os << "src"; break;
-      case node_type::sink: os << "sink"; break;
     }
     os << "\""
        << (n.type == node_type::base_task ? "" : ", shape=point") << "];\n";

@@ -7,9 +7,10 @@
 //     nodes encoding the series-parallel structure of spawn/taskwait — the
 //     join edges are precisely the paper's "artificial dependencies".
 //
-// The same graphs drive the work/span analysis (T1, T∞, parallelism — the
-// quantities §III-B argues about) and the discrete-event many-core
-// simulator that regenerates the paper's figures.
+// Both are derived from a recurrence spec and the lowerings that run it
+// (exec/derive.hpp). The same graphs drive the work/span analysis (T1, T∞,
+// parallelism — the quantities §III-B argues about) and the discrete-event
+// many-core simulator that regenerates the paper's figures.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +31,6 @@ enum class node_type : std::uint8_t {
   base_task,  // a base-case tile kernel
   fork,       // synthetic: spawn point (zero work)
   join,       // synthetic: taskwait point (zero work)
-  source,     // synthetic: graph entry
-  sink,       // synthetic: graph exit
 };
 
 struct task_node {
@@ -77,7 +76,7 @@ public:
   }
 
   /// Kahn topological order; throws contract_error if the graph has a cycle
-  /// (which would indicate a builder bug).
+  /// (which would indicate a derivation bug).
   std::vector<node_id> topological_order() const;
 
   /// Verifies acyclicity and that predecessor counts match edges.

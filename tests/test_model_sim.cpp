@@ -3,18 +3,39 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "dp/registry.hpp"
+#include "exec/derive.hpp"
 #include "model/analytical.hpp"
 #include "sim/des.hpp"
 #include "sim/experiment.hpp"
 #include "sim/machine.hpp"
-#include "trace/builders.hpp"
 
 namespace {
 
 using namespace rdp;
 using namespace rdp::model;
 using namespace rdp::sim;
+using dp::benchmark_id;
+
+/// The spec-derived DAG of benchmark bm at t tiles per side, priced at
+/// side `base` (data-flow, or fork-join with its joins).
+trace::task_graph derived(benchmark_id bm, bool fork_join, std::size_t t,
+                          std::size_t base) {
+  const dp::tile_spec spec(bm, t);
+  return fork_join ? exec::derive_forkjoin(*spec, base)
+                   : exec::derive_dataflow(*spec, base);
+}
+
+/// One simulated variant of benchmark bm at (n, base), as the figure
+/// sweeps price it.
+variant_result simulate_variant(benchmark_id bm, exec_variant v,
+                                std::size_t n, std::size_t base,
+                                const machine_profile& mach) {
+  return dp::simulate(bm, n, base, {v}, mach).front();
+}
 
 // ------------------------------- model ------------------------------------
 
@@ -124,7 +145,7 @@ TEST(Des, DiamondRespectsDependencies) {
 }
 
 TEST(Des, MakespanNeverBelowSpanOrWorkOverP) {
-  const auto g = trace::build_ge_dataflow(8, 16);
+  const auto g = derived(benchmark_id::ge, false, 8, 16);
   auto dur = [](const trace::task_node& node) {
     return static_cast<double>(node.work) * 1e-9;
   };
@@ -140,7 +161,7 @@ TEST(Des, MakespanNeverBelowSpanOrWorkOverP) {
 }
 
 TEST(Des, ZeroDurationSyntheticNodesAreFree) {
-  const auto g = trace::build_sw_forkjoin(8, 8);
+  const auto g = derived(benchmark_id::sw, true, 8, 8);
   const auto r = simulate(g, 4, [](const trace::task_node& node) {
     return node.type == trace::node_type::base_task ? 1.0 : 0.0;
   });
@@ -149,7 +170,7 @@ TEST(Des, ZeroDurationSyntheticNodesAreFree) {
 }
 
 TEST(Des, DeterministicAcrossRuns) {
-  const auto g = trace::build_fw_dataflow(8, 8);
+  const auto g = derived(benchmark_id::fw, false, 8, 8);
   auto dur = [](const trace::task_node& node) {
     return static_cast<double>(node.work) * 1e-9 + 1e-7;
   };
@@ -162,7 +183,7 @@ TEST(Des, DeterministicAcrossRuns) {
 TEST(Des, MoreCoresNeverHurtMakespanOnTheseDags) {
   // Greedy list scheduling can in general suffer anomalies; on these
   // wide, uniform DAGs adding cores must not slow things down.
-  const auto g = trace::build_sw_dataflow(16, 16);
+  const auto g = derived(benchmark_id::sw, false, 16, 16);
   auto dur = [](const trace::task_node&) { return 1.0; };
   double prev = 1e300;
   for (unsigned p : {1u, 2u, 4u, 8u, 16u, 31u}) {
@@ -173,7 +194,7 @@ TEST(Des, MoreCoresNeverHurtMakespanOnTheseDags) {
 }
 
 TEST(Des, BusyTimeEqualsSumOfDurations) {
-  const auto g = trace::build_ge_dataflow(4, 8);
+  const auto g = derived(benchmark_id::ge, false, 4, 8);
   const double per_task = 3.5;
   const auto r = simulate(g, 7, [&](const auto&) { return per_task; });
   EXPECT_DOUBLE_EQ(r.busy_time,
@@ -186,10 +207,10 @@ TEST(Findings, F3SwDataflowBeatsForkjoinEvenAtLargeSizes) {
   const auto mach = skylake192();
   for (std::size_t n : {4096ull, 16384ull}) {
     const auto fj =
-        simulate_variant(benchmark::sw, exec_variant::omp_tasking, n, 128,
+        simulate_variant(benchmark_id::sw, exec_variant::omp_tasking, n, 128,
                          mach);
     const auto df =
-        simulate_variant(benchmark::sw, exec_variant::cnc_tuner, n, 128,
+        simulate_variant(benchmark_id::sw, exec_variant::cnc_tuner, n, 128,
                          mach);
     EXPECT_GT(fj.seconds, df.seconds) << "n=" << n;
   }
@@ -200,9 +221,9 @@ TEST(Findings, F1ForkjoinCatchesUpOnLargeGeInputs) {
   // smallest to the largest input (the paper's headline crossover).
   const auto mach = epyc64();
   const auto ratio = [&](std::size_t n) {
-    const auto fj = simulate_variant(benchmark::ge,
+    const auto fj = simulate_variant(benchmark_id::ge,
                                      exec_variant::omp_tasking, n, 128, mach);
-    const auto df = simulate_variant(benchmark::ge, exec_variant::cnc_native,
+    const auto df = simulate_variant(benchmark_id::ge, exec_variant::cnc_native,
                                      n, 128, mach);
     return df.seconds / fj.seconds;  // < 1 -> CnC wins
   };
@@ -216,8 +237,8 @@ TEST(Findings, F2MoreCoresFavourDataflow) {
   const auto ratio = [&](unsigned cores) {
     const auto mach = with_cores(base_mach, cores);
     const auto fj = simulate_variant(
-        benchmark::ge, exec_variant::omp_tasking, 4096, 256, mach);
-    const auto df = simulate_variant(benchmark::ge, exec_variant::cnc_tuner,
+        benchmark_id::ge, exec_variant::omp_tasking, 4096, 256, mach);
+    const auto df = simulate_variant(benchmark_id::ge, exec_variant::cnc_tuner,
                                      4096, 256, mach);
     return df.seconds / fj.seconds;
   };
@@ -226,7 +247,7 @@ TEST(Findings, F2MoreCoresFavourDataflow) {
 
 TEST(Findings, F4ForkjoinUtilizationDropsWithMoreCores) {
   const auto mk = [&](unsigned cores) {
-    return simulate_variant(benchmark::ge, exec_variant::omp_tasking, 2048,
+    return simulate_variant(benchmark_id::ge, exec_variant::omp_tasking, 2048,
                             128, with_cores(epyc64(), cores));
   };
   EXPECT_GT(mk(8).utilization, mk(128).utilization);
@@ -236,18 +257,57 @@ TEST(Findings, ManualCncPaysPredeclarationAtSmallBases) {
   // Manual enumerates every base task serially: at tiny base sizes (huge
   // task counts) it must be slower than the tuner variant.
   const auto mach = skylake192();
-  const auto manual = simulate_variant(benchmark::ge,
+  const auto manual = simulate_variant(benchmark_id::ge,
                                        exec_variant::cnc_manual, 8192, 64,
                                        mach);
-  const auto tuner = simulate_variant(benchmark::ge, exec_variant::cnc_tuner,
+  const auto tuner = simulate_variant(benchmark_id::ge, exec_variant::cnc_tuner,
                                       8192, 64, mach);
   EXPECT_GT(manual.seconds, tuner.seconds);
+}
+
+TEST(Simulate, RejectsSizesThatDoNotTileIntoAPowerOfTwoGrid) {
+  const auto mach = epyc64();
+  // Zero, non-power-of-two and larger-than-n bases, and an n that base
+  // does not divide: each throws instead of dividing by zero or silently
+  // simulating a different n.
+  for (const auto& [n, base] :
+       {std::pair<std::size_t, std::size_t>{4096, 0}, {4096, 96},
+        {4096, 8192}, {4100, 256}, {0, 1}}) {
+    for (const exec_variant v :
+         {exec_variant::cnc_tuner, exec_variant::omp_tasking}) {
+      EXPECT_THROW(simulate_variant(benchmark_id::ge, v, n, base, mach),
+                   contract_error)
+          << "n=" << n << " base=" << base;
+    }
+  }
+}
+
+TEST(Simulate, SharedDerivationsMatchOneCallPerVariant) {
+  // dp::simulate re-derives only when the DAG kind changes; alternating
+  // kinds must price exactly as separate calls do.
+  const auto mach = skylake192();
+  const std::vector<exec_variant> vs = {
+      exec_variant::cnc_native, exec_variant::omp_tasking,
+      exec_variant::cnc_tuner, exec_variant::cnc_manual,
+      exec_variant::omp_tasking};
+  for (const benchmark_id bm :
+       {benchmark_id::ge, benchmark_id::sw, benchmark_id::fw}) {
+    const auto together = dp::simulate(bm, 1024, 128, vs, mach);
+    ASSERT_EQ(together.size(), vs.size());
+    for (std::size_t i = 0; i < vs.size(); ++i) {
+      const auto alone = simulate_variant(bm, vs[i], 1024, 128, mach);
+      EXPECT_EQ(together[i].seconds, alone.seconds) << i;
+      EXPECT_EQ(together[i].utilization, alone.utilization) << i;
+      EXPECT_EQ(together[i].base_tasks, alone.base_tasks) << i;
+    }
+  }
 }
 
 TEST(Findings, EstimatedSeriesIsFiniteAndPositive) {
   const auto mach = epyc64();
   for (std::size_t base : {64ull, 256ull, 1024ull}) {
-    const double est = estimated_seconds(benchmark::ge, 4096, base, mach);
+    const double est = estimated_seconds(dp::structure_kind::abcd_triangular,
+                                         4096, base, mach);
     EXPECT_GT(est, 0.0);
     EXPECT_TRUE(std::isfinite(est));
   }
