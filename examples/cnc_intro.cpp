@@ -38,7 +38,7 @@ struct collatz_ctx : rdp::cnc::context<collatz_ctx> {
 
 int collatz_step::execute(int t, collatz_ctx& ctx) const {
   long value = 0;
-  ctx.my_data.get(t, value);  // [myData] --> (myStep)
+  if (!ctx.my_data.get(t, value)) return 0;  // [myData] --> (myStep)
   if (value == 1 || t + 1 >= ctx.chain_limit) return 0;
   const long next = value % 2 == 0 ? value / 2 : 3 * value + 1;
   ctx.my_data.put(t + 1, next);  // (myStep) --> [myData]

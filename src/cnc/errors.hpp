@@ -1,4 +1,9 @@
 // Error types of the data-flow (CnC) runtime.
+//
+// An unmet blocking get inside a step is not an error and throws nothing:
+// get() parks the instance and returns false, and the step body returns
+// (item_collection.hpp, step_instance.hpp). Only genuine failures are
+// exceptions.
 #pragma once
 
 #include <stdexcept>
@@ -24,14 +29,4 @@ public:
       : std::runtime_error(what_arg) {}
 };
 
-namespace detail {
-
-/// Control-flow signal thrown by a blocking get() whose item is not yet
-/// available. Deliberately NOT derived from std::exception so user catch
-/// blocks for ordinary errors do not swallow it. The scheduler wrapper is
-/// the only catcher: it aborts the step instance, which the failed get has
-/// already parked on the item's waiter list.
-struct unmet_dependency_signal {};
-
-}  // namespace detail
 }  // namespace rdp::cnc

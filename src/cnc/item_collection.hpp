@@ -6,9 +6,13 @@
 //
 // get() is the blocking variant described in §II/§III-C of the paper: if the
 // item is not yet available and the caller is a step instance, the instance
-// is atomically parked on the item's waiter list and aborted; the eventual
-// put() re-triggers every parked instance. Called from the environment
-// (outside any step), get() helps the worker pool until the item appears.
+// is atomically parked on the item's waiter list and get() returns false;
+// the step body must then return at once, which aborts the execution, and
+// the eventual put() re-triggers every parked instance. The abort is an
+// ordinary return — no exception unwinds the step — so a body's own
+// try/catch cannot swallow it. Called from the environment (outside any
+// step), get() helps the worker pool until the item appears and returns
+// true.
 #pragma once
 
 #include <cstdint>
@@ -73,14 +77,22 @@ public:
     for (waiter* w : to_wake) w->item_ready();
   }
 
-  /// Blocking get (CnC semantics — see file comment). Successful blocking
-  /// gets count towards the item's get_count (try_get never does).
-  void get(const Key& key, Value& out) const {
+  /// Blocking get (CnC semantics — see file comment). True with the value
+  /// in `out`; false inside a step when the item is absent, after parking
+  /// the calling instance — the body must return at once and touch nothing
+  /// of the instance (its tag included), which now belongs to the item's
+  /// waiter list. Environment gets always return true (or throw
+  /// unsatisfied_dependency). Successful blocking gets count towards the
+  /// item's get_count (try_get never does).
+  [[nodiscard]] bool get(const Key& key, Value& out) const {
     step_instance_base* self = step_instance_base::current();
     if (self == nullptr) {
       environment_get(key, out);
-      return;
+      return true;
     }
+    RDP_REQUIRE_MSG(!step_instance_base::parked(),
+                    "blocking get after an unmet get in the same step "
+                    "execution: the body must return when get() is false");
     bool found = false;
     bool erase_after = false;
     map_.mutate(key, [&](slot& s) {
@@ -91,8 +103,8 @@ public:
           erase_after = true;  // last declared consumer: collect the item
         return;
       }
-      // Park-then-abort, atomically w.r.t. put() on the same stripe.
-      self->ctx().on_suspend(self);
+      // Park, atomically w.r.t. put() on the same stripe.
+      self->suspend();
       s.waiters.push_back(self);
     });
     if (found) {
@@ -103,13 +115,13 @@ public:
       ctx_.metrics().gets_ok.fetch_add(1, std::memory_order_relaxed);
       detail::cnc_metrics().gets_ok.add();
       RDP_TRACE_EVENT(obs::event_kind::item_get, trace_name_, Hash{}(key), 0);
-      return;
+      return true;
     }
     ctx_.metrics().gets_failed.fetch_add(1, std::memory_order_relaxed);
     detail::cnc_metrics().gets_failed.add();
     RDP_TRACE_EVENT(obs::event_kind::item_get_miss, trace_name_, Hash{}(key),
                     0);
-    throw detail::unmet_dependency_signal{};
+    return false;
   }
 
   /// Non-blocking get: true and a copy when present, false otherwise.

@@ -4,23 +4,14 @@
 
 namespace rdp::cnc {
 
-namespace {
-thread_local step_instance_base* tl_current_step = nullptr;
-}
-
-step_instance_base* step_instance_base::current() noexcept {
-  return tl_current_step;
-}
-
 void step_instance_base::execute_wrapper() noexcept {
   // Capture the context up front: once an unmet get parks this instance on
   // a waiter list, ownership transfers there — a concurrent put may resume,
-  // re-execute and even delete it before this frame finishes unwinding, so
-  // `this` must not be dereferenced after the catch below.
+  // re-execute and even delete it before run_body() has returned here, so
+  // `this` must not be dereferenced once the execution is flagged parked.
   context_base& ctx = ctx_;
-  step_instance_base* previous = tl_current_step;
-  tl_current_step = this;
-  bool suspended = false;
+  const detail::running_step previous = detail::tl_running_step;
+  detail::tl_running_step = {this, false};
   std::exception_ptr error;
   // Step latency histogram, sampled 1-in-16 per thread (the clock pair
   // would otherwise tax fine-grained base steps). Timed attempts that
@@ -32,14 +23,16 @@ void step_instance_base::execute_wrapper() noexcept {
   const std::uint64_t t0 = timed ? obs::metrics_now_ns() : 0;
   try {
     run_body();
-  } catch (const detail::unmet_dependency_signal&) {
-    suspended = true;
   } catch (...) {
     error = std::current_exception();
   }
-  tl_current_step = previous;
+  const bool parked = detail::tl_running_step.parked;
+  detail::tl_running_step = previous;
 
-  if (suspended) {
+  if (parked) {
+    // An error raised after the park (a body that went on past a failed
+    // get) is still reported; the instance stays with its waiter list.
+    if (error) ctx.record_error(error);
     ctx.metrics().aborted.fetch_add(1, std::memory_order_relaxed);
     RDP_TRACE_EVENT(obs::event_kind::step_abort, 0,
                     reinterpret_cast<std::uintptr_t>(this), 0);

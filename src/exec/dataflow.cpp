@@ -11,11 +11,12 @@
 // Non-base tags expand into their children in split_plan's flattened order
 // (equal to the retired per-benchmark tag-emission order). Base tags get
 // their dependencies in depends() emission order — blocking gets for the
-// native/tuner/manual variants, try_get polling with short-circuit plus
-// respawn for the nonblocking variant — then run the base kernel (token
-// graphs) or compute a fresh tile from the read values (value-passing
-// graphs) and put their output item with the spec's consumer count when
-// get-count GC is enabled (preschedule tuners only).
+// native/tuner/manual variants (an unmet one returns false and the step
+// returns), try_get polling with short-circuit plus respawn for the
+// nonblocking variant — then run the base kernel (token graphs) or compute
+// a fresh tile from the read values (value-passing graphs) and put their
+// output item with the spec's consumer count when get-count GC is enabled
+// (preschedule tuners only).
 #include "exec/backend.hpp"
 
 #include <cstdint>
@@ -172,8 +173,10 @@ int df_step<Ctx>::execute(const dp::tile4& t, Ctx& ctx) const {
       return 0;
     }
   } else {
+    // An unmet get parks this instance and returns false: return without
+    // touching `t`, which belongs to the parked instance.
     for (std::size_t d = 0; d < deps.keys.size(); ++d)
-      ctx.items.get(deps.keys[d], vals[d]);
+      if (!ctx.items.get(deps.keys[d], vals[d])) return 0;
   }
 
   // Counted here — after the nonblocking readiness check and any blocking
@@ -213,7 +216,8 @@ struct env_value_store final : dp::value_store {
   }
   dp::tile_value get(const dp::tile3& key) override {
     dp::tile_value out;
-    ctx.items.get(key, out);  // environment get: helps the pool, counted
+    // Environment get: helps the pool, counted, never parks.
+    (void)ctx.items.get(key, out);
     return out;
   }
 };

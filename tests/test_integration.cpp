@@ -54,7 +54,7 @@ TEST(SharedPool, CncContextBorrowsForkJoinPool) {
   ctx.wait();
   EXPECT_EQ(fj_sum.load(), 4950);
   int v = 0;
-  ctx.items.get(99, v);
+  ASSERT_TRUE(ctx.items.get(99, v));
   EXPECT_EQ(v, 297);
 }
 
@@ -82,7 +82,7 @@ TEST(SharedPool, PhasedExecutionWaitPutWait) {
   ctx.wait();
   EXPECT_EQ(ctx.stats().steps_executed, 3u);
   int v = 0;
-  ctx.items.get(3, v);
+  ASSERT_TRUE(ctx.items.get(3, v));
   EXPECT_EQ(v, 9);
 }
 

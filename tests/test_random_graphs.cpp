@@ -79,7 +79,7 @@ int dag_step::execute(std::uint32_t tag, dag_ctx& ctx) const {
   std::uint64_t acc = tag;
   for (std::uint32_t p : ctx.dag.preds[tag]) {
     std::uint64_t v = 0;
-    ctx.values.get(p, v);
+    if (!ctx.values.get(p, v)) return 0;  // parked: abort
     acc += v;
   }
   ctx.values.put(tag, acc);
