@@ -1,7 +1,9 @@
 #include "cnc/context.hpp"
 
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "cnc/step_instance.hpp"
 #include "concurrent/backoff.hpp"
@@ -41,27 +43,55 @@ context_base::context_base(forkjoin::worker_pool& pool) : pool_(&pool) {}
 context_base::~context_base() {
   // Reclaim instances that never ran because their dependencies were never
   // produced (abandoned or deadlocked graphs). Waiter lists never delete.
-  std::scoped_lock lock(suspended_mutex_);
-  for (step_instance_base* inst : suspended_registry_) delete inst;
-  suspended_registry_.clear();
+  for (parked_stripe& stripe : parked_) {
+    std::scoped_lock lock(stripe.lock);
+    for (step_instance_base* inst = stripe.head; inst != nullptr;) {
+      step_instance_base* next = inst->parked_next_;
+      delete inst;
+      inst = next;
+    }
+    stripe.head = nullptr;
+    stripe.count = 0;
+  }
 }
 
-void context_base::on_suspend(step_instance_base* inst) {
+context_base::parked_stripe& context_base::stripe_of(
+    const step_instance_base* inst) const noexcept {
+  // Fibonacci hashing of the address: heap neighbours land on different
+  // stripes.
+  const auto a = static_cast<std::uint64_t>(
+      reinterpret_cast<std::uintptr_t>(inst));
+  return parked_[(a * 0x9E3779B97F4A7C15ull) >> (64 - kParkedStripeBits)];
+}
+
+void context_base::on_suspend(step_instance_base* inst) noexcept {
+  parked_stripe& stripe = stripe_of(inst);
   {
-    std::scoped_lock lock(suspended_mutex_);
-    suspended_registry_.insert(inst);
+    std::scoped_lock lock(stripe.lock);
+    inst->parked_prev_ = nullptr;
+    inst->parked_next_ = stripe.head;
+    if (stripe.head != nullptr) stripe.head->parked_prev_ = inst;
+    stripe.head = inst;
+    ++stripe.count;
   }
   suspended_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-void context_base::on_resume(step_instance_base* inst) {
+void context_base::on_resume(step_instance_base* inst) noexcept {
   // Order matters for wait()'s quiescence test: make the instance visible
   // as active *before* it stops being suspended, so (active==0 &&
   // suspended==0) can never be observed while a resume is in flight.
   active_.fetch_add(1, std::memory_order_acq_rel);
+  parked_stripe& stripe = stripe_of(inst);
   {
-    std::scoped_lock lock(suspended_mutex_);
-    suspended_registry_.erase(inst);
+    std::scoped_lock lock(stripe.lock);
+    if (inst->parked_prev_ != nullptr)
+      inst->parked_prev_->parked_next_ = inst->parked_next_;
+    else
+      stripe.head = inst->parked_next_;
+    if (inst->parked_next_ != nullptr)
+      inst->parked_next_->parked_prev_ = inst->parked_prev_;
+    --stripe.count;
   }
   suspended_.fetch_sub(1, std::memory_order_acq_rel);
 }
@@ -91,20 +121,23 @@ void context_base::dump_state(std::string& out) const {
        << " steals=" << w.steals << " parks=" << w.parks
        << " deque~" << w.deque_depth << " affinity~" << w.affinity_depth
        << "\n";
-  {
-    std::scoped_lock lock(suspended_mutex_);
-    const std::size_t total = suspended_registry_.size();
-    os << "  parked step instances: " << total;
-    if (total > 0) {
-      os << " (showing up to 8)\n";
-      std::size_t shown = 0;
-      for (const step_instance_base* inst : suspended_registry_) {
-        if (shown++ == 8) break;
-        os << "    " << inst->describe() << "\n";
-      }
-    } else {
-      os << "\n";
-    }
+  // Each stripe is read under its own lock: the sum is exact once the
+  // graph is quiescent or abandoned, a close estimate while it runs.
+  std::size_t total = 0;
+  std::vector<std::string> shown;
+  for (parked_stripe& stripe : parked_) {
+    std::scoped_lock lock(stripe.lock);
+    total += stripe.count;
+    for (const step_instance_base* inst = stripe.head;
+         inst != nullptr && shown.size() < 8; inst = inst->parked_next_)
+      shown.push_back(inst->describe());
+  }
+  os << "  parked step instances: " << total;
+  if (total > 0) {
+    os << " (showing up to 8)\n";
+    for (const std::string& line : shown) os << "    " << line << "\n";
+  } else {
+    os << "\n";
   }
   out += os.str();
 }

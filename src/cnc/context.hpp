@@ -13,17 +13,23 @@
 // put() can only happen from an active step or from the environment thread
 // inside wait(), so `active == 0` while the environment is quiescent is a
 // stable property: if suspended > 0 at that point the graph is deadlocked.
+// Both counts are plain atomics. Suspended instances are also linked into
+// a registry striped by instance address (for reclamation and stall
+// dumps); a suspend or resume locks one stripe, so aborts on different
+// workers do not serialise on a context-wide lock.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 
 #include "cnc/errors.hpp"
+#include "concurrent/spinlock.hpp"
 #include "forkjoin/worker_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/watchdog.hpp"
@@ -124,8 +130,8 @@ public:
   void on_complete() noexcept {
     active_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  void on_suspend(step_instance_base* inst);
-  void on_resume(step_instance_base* inst);
+  void on_suspend(step_instance_base* inst) noexcept;
+  void on_resume(step_instance_base* inst) noexcept;
 
   /// Record a user-step exception; the first one is rethrown by wait().
   void record_error(std::exception_ptr e) noexcept;
@@ -175,10 +181,21 @@ private:
   std::optional<obs::watchdog::config> watchdog_cfg_;
 
   // Suspended instances are owned by the waiter lists; the context keeps a
-  // registry so a deadlocked or abandoned graph can still reclaim them.
-  // Mutable: dump_state() is const and reads it under the lock.
-  mutable std::mutex suspended_mutex_;
-  std::unordered_set<step_instance_base*> suspended_registry_;
+  // registry so a deadlocked or abandoned graph can still reclaim them and
+  // dump_state() can name them. The registry is striped by instance address
+  // into intrusive doubly linked lists (the links live in the instance), so
+  // a suspend or resume takes one stripe's spinlock — never a lock shared
+  // by the whole context — and allocates nothing. Mutable: dump_state() is
+  // const and walks the stripes under their locks.
+  static constexpr unsigned kParkedStripeBits = 6;
+  struct alignas(64) parked_stripe {
+    concurrent::spinlock lock;
+    step_instance_base* head = nullptr;
+    std::size_t count = 0;
+  };
+  parked_stripe& stripe_of(const step_instance_base* inst) const noexcept;
+  mutable std::array<parked_stripe, std::size_t{1} << kParkedStripeBits>
+      parked_;
 };
 
 /// CRTP convenience mirroring Intel CnC's `CnC::context<Derived>`.
