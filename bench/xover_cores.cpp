@@ -16,21 +16,12 @@
 #include "support/csv.hpp"
 #include "support/table_printer.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rdp;
-  std::string csv_path = "xover_cores.csv";
-  std::int64_t n = 4096, base = 256;
-  cli_parser cli("Core-count crossover sweep (E-X1)");
-  cli.add_string("csv", &csv_path, "CSV output path");
-  cli.add_int("n", &n, "problem size (default 4096)");
-  cli.add_int("base", &base, "base-case size (default 256)");
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
+namespace {
 
+/// The sweep. Throws contract_error (from dp::simulate) unless n and base
+/// are powers of two with base <= n.
+void sweep(std::int64_t n, std::int64_t base, const std::string& csv_path) {
+  using namespace rdp;
   std::cout << "=== E-X1: fixed problem, growing core count (GE & FW-APSP, "
             << "n=" << n << ", base=" << base << ") ===\n\n";
   csv_writer csv({"benchmark", "cores", "OpenMP_s", "CnC_tuner_s",
@@ -41,8 +32,6 @@ int main(int argc, char** argv) {
     table_printer table({"cores", "OpenMP (s)", "CnC_tuner (s)",
                          "CnC/OMP ratio", "OMP util", "CnC util"});
     for (unsigned cores : {8u, 16u, 32u, 64u, 96u, 128u, 192u, 256u}) {
-      // Throws contract_error unless n and base are powers of two with
-      // base <= n.
       const auto r = dp::simulate(
           bm, static_cast<std::size_t>(n), static_cast<std::size_t>(base),
           {sim::exec_variant::omp_tasking, sim::exec_variant::cnc_tuner},
@@ -67,5 +56,25 @@ int main(int argc, char** argv) {
   }
   csv.save(csv_path);
   std::cout << "wrote " << csv_path << "\n";
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace rdp;
+  std::string csv_path = "xover_cores.csv";
+  std::int64_t n = 4096, base = 256;
+  cli_parser cli("Core-count crossover sweep (E-X1)");
+  cli.add_string("csv", &csv_path, "CSV output path");
+  cli.add_int("n", &n, "problem size (default 4096)");
+  cli.add_int("base", &base, "base-case size (default 256)");
+  try {
+    if (!cli.parse(argc, argv)) return 0;
+    sweep(n, base, csv_path);
+  } catch (const std::exception& e) {
+    // Parse errors and sizes the simulator rejects are usage errors.
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
   return 0;
 }

@@ -14,36 +14,15 @@
 #include "support/cli.hpp"
 #include "support/table_printer.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rdp;
-  std::string bm_name = "ge";
-  std::int64_t n = 4096, base = 256;
-  cli_parser cli("Many-core crossover explorer (simulated machines)");
-  cli.add_string("benchmark", &bm_name, "ge | sw | fw (default ge)");
-  cli.add_int("n", &n, "problem size (default 4096)");
-  cli.add_int("base", &base, "base-case size (default 256)");
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 2;
-  }
+namespace {
 
-  dp::benchmark_id bm;
-  if (bm_name == "ge") {
-    bm = dp::benchmark_id::ge;
-  } else if (bm_name == "sw") {
-    bm = dp::benchmark_id::sw;
-  } else if (bm_name == "fw") {
-    bm = dp::benchmark_id::fw;
-  } else {
-    std::cerr << "unknown benchmark: " << bm_name << "\n";
-    return 2;
-  }
+/// Both views for one benchmark. Throws contract_error (from dp::simulate)
+/// unless the sizes and base are powers of two with base <= size.
+void explore(rdp::dp::benchmark_id bm, std::int64_t n, std::int64_t base) {
+  using namespace rdp;
   const auto b = static_cast<std::size_t>(base);
 
-  // Fork-join and Tuner-CnC predictions for one problem size (throws
-  // contract_error unless size and base are powers of two, base <= size).
+  // Fork-join and Tuner-CnC predictions for one problem size.
   struct prediction {
     sim::variant_result omp, cnc;
   };
@@ -85,5 +64,42 @@ int main(int argc, char** argv) {
                "few for the cores (small problems, big machines); fork-join "
                "recovers on big problems — except Smith-Waterman, whose "
                "joins destroy wavefront parallelism at every size.\n";
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace rdp;
+  std::string bm_name = "ge";
+  std::int64_t n = 4096, base = 256;
+  cli_parser cli("Many-core crossover explorer (simulated machines)");
+  cli.add_string("benchmark", &bm_name, "ge | sw | fw (default ge)");
+  cli.add_int("n", &n, "problem size (default 4096)");
+  cli.add_int("base", &base, "base-case size (default 256)");
+  try {
+    if (!cli.parse(argc, argv)) return 0;
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+
+  dp::benchmark_id bm;
+  if (bm_name == "ge") {
+    bm = dp::benchmark_id::ge;
+  } else if (bm_name == "sw") {
+    bm = dp::benchmark_id::sw;
+  } else if (bm_name == "fw") {
+    bm = dp::benchmark_id::fw;
+  } else {
+    std::cerr << "unknown benchmark: " << bm_name << "\n";
+    return 2;
+  }
+  try {
+    explore(bm, n, base);
+  } catch (const std::exception& e) {
+    // Sizes the simulator rejects are usage errors, like the parse errors.
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
   return 0;
 }
