@@ -80,6 +80,22 @@ std::size_t problem_size(const problem_ref& p) {
              : p.table->rows();
 }
 
+std::unique_ptr<recurrence> make_problem_spec(const problem_ref& p,
+                                              std::size_t base) {
+  switch (p.bm) {
+    case benchmark_id::ge: return make_ge_spec(*p.table, base);
+    case benchmark_id::fw: return make_fw_spec(*p.table, base);
+    case benchmark_id::sw:
+      return make_sw_spec(*p.sw_table, p.a, p.b, *p.params, base);
+    case benchmark_id::lcs:
+      return make_lcs_spec(*p.sw_table, p.a, p.b, lcs_mode::lcs, base);
+    case benchmark_id::paren:
+      return make_paren_spec(*p.table, *p.dims, base);
+  }
+  RDP_REQUIRE_MSG(false, "unknown benchmark");
+  return nullptr;
+}
+
 namespace {
 
 // ---- precondition predicates --------------------------------------------
@@ -120,25 +136,6 @@ void with_pool(const run_options& opts, Fn&& fn) {
   }
   forkjoin::worker_pool pool(opts.workers);
   fn(pool);
-}
-
-/// Spec for one problem instance. The prepared rows, the batch server, and
-/// every runner of a spec-only benchmark (LCS, Paren — which have no
-/// per-benchmark entry points) build their execution from this.
-std::unique_ptr<recurrence> make_problem_spec(const problem_ref& p,
-                                              std::size_t base) {
-  switch (p.bm) {
-    case benchmark_id::ge: return make_ge_spec(*p.table, base);
-    case benchmark_id::fw: return make_fw_spec(*p.table, base);
-    case benchmark_id::sw:
-      return make_sw_spec(*p.sw_table, p.a, p.b, *p.params, base);
-    case benchmark_id::lcs:
-      return make_lcs_spec(*p.sw_table, p.a, p.b, lcs_mode::lcs, base);
-    case benchmark_id::paren:
-      return make_paren_spec(*p.table, *p.dims, base);
-  }
-  RDP_REQUIRE_MSG(false, "unknown benchmark");
-  return nullptr;
 }
 
 run_outcome run_serial_v(const variant& self, const problem_ref& p,

@@ -76,6 +76,12 @@ problem_ref paren_problem(matrix<double>& c, const std::vector<double>& dims);
 /// Problem size n of a reference (table side / sequence length).
 std::size_t problem_size(const problem_ref& p);
 
+/// Spec for one problem instance. The prepared rows, the batch server, and
+/// every runner of a spec-only benchmark (LCS, Paren — which have no
+/// per-benchmark entry points) build their execution from this.
+std::unique_ptr<recurrence> make_problem_spec(const problem_ref& p,
+                                              std::size_t base);
+
 struct run_options {
   std::size_t base = 64;
   /// Worker count for parallel backends (and the data-flow context).

@@ -42,6 +42,44 @@ run_options options_for(std::size_t base, forkjoin::worker_pool& pool) {
   return opts;
 }
 
+/// Counts the environment-side seed items of a value-passing spec.
+struct seed_counter final : value_store {
+  std::uint64_t puts = 0;
+  void put(const tile3&, tile_value) override { ++puts; }
+  tile_value get(const tile3&) override { return nullptr; }
+};
+
+/// Schedule-independent counters of a Native-CnC run: every node of the
+/// split tree is one tag and one successful step execution, and every base
+/// task puts one item, next to the environment's seeds. Aborts move with
+/// the schedule; these must not.
+struct dataflow_counts {
+  std::uint64_t steps = 0, items = 0;
+};
+
+dataflow_counts expected_counts(recurrence& rec) {
+  dataflow_counts c;
+  std::vector<tile4> pending{rec.root()};
+  while (!pending.empty()) {
+    const tile4 t = pending.back();
+    pending.pop_back();
+    ++c.steps;
+    if (rec.is_base(t)) {
+      ++c.items;
+      continue;
+    }
+    const split_plan plan = rec.split(t);
+    for (std::size_t i = 0; i < plan.child_count; ++i)
+      pending.push_back(plan.children[i]);
+  }
+  if (rec.value_passing()) {
+    seed_counter seeds;
+    rec.seed_values(seeds);
+    c.items += seeds.puts;
+  }
+  return c;
+}
+
 /// Runs every non-serial variant of `bm` at one sweep point and compares
 /// the produced table against the serial run, bit for bit.
 template <class Table, class Reset>
@@ -67,6 +105,14 @@ void check_point(benchmark_id bm, const problem_ref& prob,
     if (outcome.used_dataflow) {
       // Data-flow rows must have actually built a CnC graph.
       EXPECT_GT(outcome.info.stats.steps_executed, 0u) << v->label;
+    }
+    if (v->label == "dataflow:native") {
+      const cnc::context_stats& st = outcome.info.stats;
+      const dataflow_counts want =
+          expected_counts(*make_problem_spec(prob, opts.base));
+      EXPECT_EQ(st.steps_aborted, st.gets_failed) << "n=" << n;
+      EXPECT_EQ(st.steps_executed, want.steps) << "n=" << n;
+      EXPECT_EQ(st.items_put, want.items) << "n=" << n;
     }
     if (v->backend == backend_kind::sim) {
       // sim rows fill the table via the serial reference (checked above)
